@@ -52,7 +52,7 @@ from .sequences import (
     persistent_graph,
 )
 from .solvers import ConvexProjector, MultiAgentProblem, solve
-from .tolerances import MAX_ITERS, SOLVER_TOL
+from .tolerances import MAX_ITERS, SOLVER_TOL, hk_step_cap
 
 SCHEMA_VERSION = 1
 KINDS = (
@@ -92,7 +92,7 @@ def _require(params: dict, key: str):
     return params[key]
 
 
-def sequence_from_json_obj(obj: dict, default_seed: int = 0) -> MatrixSequence:
+def sequence_from_json_obj(obj: dict) -> MatrixSequence:
     """Build a matrix sequence from its JSON config.  Kinds: constant,
     explicit, gossip, hk_induced (the averaging matrices realized along a
     truth-free bounded-confidence run, frozen once the run freezes)."""
@@ -114,7 +114,7 @@ def sequence_from_json_obj(obj: dict, default_seed: int = 0) -> MatrixSequence:
     if kind == "hk_induced":
         epsilon = float(obj["epsilon"])
         x0 = np.asarray(obj["x0"], dtype=float)
-        max_steps = int(obj.get("max_steps", 10 * x0.shape[0] ** 3))
+        max_steps = int(obj.get("max_steps", hk_step_cap(x0.shape[0])))
         traj, _ = run_hk(x0, HkConfig(epsilon=epsilon), max_steps)
         states = traj.states
         last = states.shape[0] - 1
@@ -161,11 +161,7 @@ def _graph_from(params: dict) -> WeightedDigraph:
 def _run_analyze_graph(params: dict, seed: int) -> tuple[dict, int, dict]:
     g = _graph_from(params)
     dec = strong_components(g)
-    aperiodic = []
-    for comp in dec.components:
-        solo = next(iter(comp))
-        trivial = len(comp) == 1 and g.weights[solo][solo] == 0
-        aperiodic.append(False if trivial else is_aperiodic(g, comp))
+    aperiodic = [is_aperiodic(g, comp) for comp in dec.components]
     cert = cut_balance_certificate(g)
     verdict = {
         "n": g.n,
@@ -220,7 +216,7 @@ def _run_analyze_matrix(params: dict, seed: int) -> tuple[dict, int, dict]:
 
 
 def _run_check_sequence(params: dict, seed: int) -> tuple[dict, int, dict]:
-    seq = sequence_from_json_obj(_require(params, "sequence"), seed)
+    seq = sequence_from_json_obj(_require(params, "sequence"))
     M = int(params.get("M", 1))
     T = int(params.get("T", 0))
     L = int(params.get("L", 0))
@@ -259,7 +255,7 @@ def _run_check_sequence(params: dict, seed: int) -> tuple[dict, int, dict]:
 
 
 def _run_simulate_rai(params: dict, seed: int) -> tuple[dict, int, dict]:
-    seq = sequence_from_json_obj(_require(params, "sequence"), seed)
+    seq = sequence_from_json_obj(_require(params, "sequence"))
     steps = int(_require(params, "steps"))
     policy = _policy_from(params.get("policy"), seed)
     if "delays" in params:
@@ -281,7 +277,7 @@ def _run_simulate_hk(params: dict, seed: int) -> tuple[dict, int, dict]:
         truth=float(params.get("truth", 0.0)),
         awareness=tuple(params.get("awareness", ())),
     )
-    max_steps = int(params.get("max_steps", 10 * x0.shape[0] ** 3))
+    max_steps = int(params.get("max_steps", hk_step_cap(x0.shape[0])))
     traj, report = run_hk(x0, cfg, max_steps)
     if report.terminated_at is not None:
         code = 0
@@ -320,7 +316,7 @@ def _run_simulate_altafini(params: dict, seed: int) -> tuple[dict, int, dict]:
 
 def _run_solve_fixedpoint(params: dict, seed: int) -> tuple[dict, int, dict]:
     maps = tuple(_projector_from(s) for s in _require(params, "sets"))
-    W = sequence_from_json_obj(_require(params, "W"), seed)
+    W = sequence_from_json_obj(_require(params, "W"))
     problem = MultiAgentProblem(
         maps=maps,
         W=W,

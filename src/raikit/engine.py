@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .graphs import Cut
 from .matrices import RowStochasticMatrix
-from .sequences import MatrixSequence
+from .sequences import IndexedSequence, MatrixSequence
 from .tolerances import (
     CONSENSUS_TOL,
     DIVERGENCE_FLOOR,
@@ -288,13 +289,35 @@ def run_degroot(seq: MatrixSequence, x0, steps: int) -> Trajectory:
     return run_rai(seq, x0, DisturbancePolicy.zero(), steps)
 
 
+def _validate_delays(d_star: int, t) -> np.ndarray:
+    a = np.asarray(t)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("delay table must be square")
+    if not np.issubdtype(a.dtype, np.integer):
+        af = np.asarray(t, dtype=float)
+        if np.any(af != np.round(af)):
+            raise ValueError("delays must be integers")
+        a = af.astype(int)
+    a = a.astype(int)
+    if np.any(a < 0) or np.any(a > d_star):
+        raise ValueError(f"delays must lie in [0, {d_star}]")
+    if np.any(np.diag(a) != 0):
+        raise ValueError("diagonal delays must be zero")
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class DelaySpec:
     """Communication delays d_ij(k): agent i sees x_j(k - d_ij(k)).
 
     Bounded by ``d_star``; the diagonal is identically zero (each agent
-    always has its own current value).  Backed by either a constant table,
-    a periodic tuple of tables, or a pure function k -> table.
+    always has its own current value).  Backed by an IndexedSequence of
+    tables: explicit ``tables`` with ``period`` > 0 hold exactly one period
+    and repeat; with period 0 (the JSON default) one table is constant and
+    several tables are played in order, the last one held for every
+    k >= len(tables).  A pure function k -> table is validated once per k
+    and cached.
     """
 
     d_star: int
@@ -305,32 +328,11 @@ class DelaySpec:
     def __post_init__(self) -> None:
         if self.d_star < 0:
             raise ValueError("d_star must be >= 0")
-        if (self.tables is None) == (self.fn is None):
-            raise ValueError("exactly one of tables/fn must be given")
-        if self.tables is not None:
-            tabs = tuple(self._validate(t) for t in self.tables)
-            if not tabs:
-                raise ValueError("delay table list must be nonempty")
-            if self.period not in (0, len(tabs)) and len(tabs) != 1:
-                raise ValueError("period must match the number of tables")
-            object.__setattr__(self, "tables", tabs)
-
-    def _validate(self, t) -> np.ndarray:
-        a = np.asarray(t)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("delay table must be square")
-        if not np.issubdtype(a.dtype, np.integer):
-            af = np.asarray(t, dtype=float)
-            if np.any(af != np.round(af)):
-                raise ValueError("delays must be integers")
-            a = af.astype(int)
-        a = a.astype(int)
-        if np.any(a < 0) or np.any(a > self.d_star):
-            raise ValueError(f"delays must lie in [0, {self.d_star}]")
-        if np.any(np.diag(a) != 0):
-            raise ValueError("diagonal delays must be zero")
-        a.setflags(write=False)
-        return a
+        store = IndexedSequence(
+            partial(_validate_delays, self.d_star), self.period, self.tables, self.fn, hold_last=True
+        )
+        object.__setattr__(self, "_store", store)
+        object.__setattr__(self, "tables", store.items)
 
     @classmethod
     def constant(cls, table, d_star: int | None = None) -> "DelaySpec":
@@ -351,13 +353,7 @@ class DelaySpec:
         return cls(d_star=int(d_star), fn=fn)
 
     def table(self, k: int) -> np.ndarray:
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        if self.tables is not None:
-            if self.period > 0:
-                return self.tables[k % self.period]
-            return self.tables[min(k, len(self.tables) - 1)]
-        return self._validate(self.fn(k))
+        return self._store.at(k)
 
     def to_json_obj(self) -> dict:
         if self.tables is None:

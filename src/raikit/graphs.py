@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator
 
 import numpy as np
 
@@ -30,6 +31,7 @@ __all__ = [
     "SccDecomposition",
     "strong_components",
     "is_aperiodic",
+    "reachable",
     "cut_flow",
     "cut_balance_certificate",
     "graph_to_json",
@@ -258,29 +260,16 @@ def is_aperiodic(g: WeightedDigraph, component: Iterable[int]) -> bool:
         if v < 0 or v >= g.n:
             raise ValueError("component node out of range")
 
-    # Verify strong connectivity of the induced subgraph.
-    for start in (comp[0],):
-        seen = _bfs_inside(g, start, comp_set)
-        if seen != comp_set:
-            raise ValueError("component is not strongly connected")
-    # Reverse reachability: every node must also reach comp[0].
-    rev_seen = _bfs_inside(g, comp[0], comp_set, reverse=True)
-    if rev_seen != comp_set:
+    # Strongly connected iff comp[0] reaches every node and every node
+    # reaches comp[0], both inside the component.
+    level = reachable(g, [comp[0]], comp_set)
+    back = reachable(g, [comp[0]], comp_set, reverse=True)
+    if level.keys() != comp_set or back.keys() != comp_set:
         raise ValueError("component is not strongly connected")
 
     if len(comp) == 1:
         v = comp[0]
         return bool(g.weights[v][v] != 0)  # period defined only via the self-loop
-
-    level = {comp[0]: 0}
-    queue = [comp[0]]
-    while queue:
-        u = queue.pop(0)
-        for v in g.out_neighbors(u):
-            v = int(v)
-            if v in comp_set and v not in level:
-                level[v] = level[u] + 1
-                queue.append(v)
 
     period = 0
     for u in comp:
@@ -291,23 +280,31 @@ def is_aperiodic(g: WeightedDigraph, component: Iterable[int]) -> bool:
     return period == 1
 
 
-def _bfs_inside(
-    g: WeightedDigraph, start: int, allowed: set[int], reverse: bool = False
-) -> set[int]:
-    seen = {start}
-    queue = [start]
+def reachable(
+    g: WeightedDigraph,
+    start: Iterable[int],
+    allowed: Container[int] | None = None,
+    reverse: bool = False,
+) -> dict[int, int]:
+    """Breadth-first search from the ``start`` nodes.
+
+    Walks follow arcs u -> v (nonzeros of column u), or with ``reverse``
+    run against them (nonzeros of row u: the nodes that influence u).
+    Only nodes in ``allowed`` are stepped onto when it is given; start
+    nodes always count as reached.  Returns each reached node's BFS level,
+    the length of a shortest walk to it from the start set (0 for the
+    start nodes themselves).
+    """
+    level = {int(v): 0 for v in start}
+    queue = deque(level)
     while queue:
-        u = queue.pop(0)
-        if reverse:
-            nxt = np.nonzero(g.weights[u, :])[0]  # arcs v -> u
-        else:
-            nxt = np.nonzero(g.weights[:, u])[0]  # arcs u -> v
-        for v in nxt:
-            v = int(v)
-            if v in allowed and v not in seen:
-                seen.add(v)
+        u = queue.popleft()
+        arcs = g.weights[u, :] if reverse else g.weights[:, u]
+        for v in np.flatnonzero(arcs).tolist():
+            if v not in level and (allowed is None or v in allowed):
+                level[v] = level[u] + 1
                 queue.append(v)
-    return seen
+    return level
 
 
 def cut_flow(g: WeightedDigraph, cut: Cut) -> tuple[float, float]:
@@ -363,24 +360,10 @@ def cut_balance_certificate(g: WeightedDigraph) -> CutBalanceCertificate:
     # downstream closure of c', which receives flow but returns none.
     cond = dec.condensation
     ci, cj = next(zip(*np.nonzero(cond.weights)))  # arc cj -> ci in condensation
-    closure = _downstream_closure(cond, int(ci))
+    closure = reachable(cond, [int(ci)])
     left_nodes = frozenset().union(*(dec.components[c] for c in closure))
     witness = Cut(left=left_nodes, right=frozenset(range(g.n)) - left_nodes)
     return CutBalanceCertificate(balanced=False, constant_C=None, witness_cut=witness)
-
-
-def _downstream_closure(cond: WeightedDigraph, start: int) -> set[int]:
-    """Components reachable from ``start`` in the condensation (including it)."""
-    seen = {start}
-    queue = [start]
-    while queue:
-        u = queue.pop(0)
-        for v in cond.out_neighbors(u):
-            v = int(v)
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
 
 
 # Graph I/O.  The JSON object form {"n": ..., "weights": [[...]]} round-trips

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import WeightedDigraph, is_aperiodic, strong_components
+from .graphs import WeightedDigraph, is_aperiodic, reachable, strong_components
 from .tolerances import EIG_TOL, ENTRY_FLUSH, ROW_SUM_TOL
 
 __all__ = [
@@ -33,6 +33,22 @@ def _flush_tiny(entries: np.ndarray) -> np.ndarray:
     out = entries.copy()
     out[np.abs(out) < ENTRY_FLUSH] = 0.0
     return out
+
+
+def _checked_entries(n: int, entries) -> np.ndarray:
+    """Validation shared by both matrix classes: a finite n x n array,
+    flushed, with no negative entry left."""
+    e = np.asarray(entries, dtype=float)
+    if e.ndim != 2 or e.shape[0] != e.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {e.shape}")
+    if e.shape[0] != n:
+        raise ValueError("n does not match matrix shape")
+    if not np.all(np.isfinite(e)):
+        raise ValueError("entries must be finite")
+    e = _flush_tiny(e)
+    if np.any(e < 0):
+        raise ValueError("entries must be nonnegative")
+    return e
 
 
 def _force_exact_row_sums(entries: np.ndarray) -> np.ndarray:
@@ -71,16 +87,7 @@ class RowStochasticMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        e = np.asarray(self.entries, dtype=float)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {e.shape}")
-        if e.shape[0] != self.n:
-            raise ValueError("n does not match matrix shape")
-        if not np.all(np.isfinite(e)):
-            raise ValueError("entries must be finite")
-        e = _flush_tiny(e)
-        if np.any(e < 0):
-            raise ValueError("entries must be nonnegative")
+        e = _checked_entries(self.n, self.entries)
         sums = e.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
             bad = int(np.argmax(np.abs(sums - 1.0)))
@@ -114,16 +121,7 @@ class SubstochasticMatrix:
     deficiency_set: frozenset[int] = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        e = np.asarray(self.entries, dtype=float)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {e.shape}")
-        if e.shape[0] != self.n:
-            raise ValueError("n does not match matrix shape")
-        if not np.all(np.isfinite(e)):
-            raise ValueError("entries must be finite")
-        e = _flush_tiny(e)
-        if np.any(e < 0):
-            raise ValueError("entries must be nonnegative")
+        e = _checked_entries(self.n, self.entries)
         sums = e.sum(axis=1)
         if np.any(sums > 1.0 + ROW_SUM_TOL):
             bad = int(np.argmax(sums))
@@ -288,17 +286,8 @@ def schur_stability_by_reachability(A: SubstochasticMatrix) -> StabilityVerdict:
     including the empty walk) from some row whose sum is below 1.  Nodes
     in ``unreachable_nodes`` witness the failure; with an empty deficiency
     set every node is unreachable and the verdict is unstable."""
-    g = A.graph()
-    reached = set(A.deficiency_set)
-    queue = list(reached)
-    while queue:
-        u = queue.pop(0)
-        for v in g.out_neighbors(u):
-            v = int(v)
-            if v not in reached:
-                reached.add(v)
-                queue.append(v)
-    unreachable = frozenset(range(A.n)) - frozenset(reached)
+    reached = reachable(A.graph(), A.deficiency_set)
+    unreachable = frozenset(range(A.n)).difference(reached)
     return StabilityVerdict(stable=not unreachable, unreachable_nodes=unreachable)
 
 

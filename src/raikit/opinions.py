@@ -6,13 +6,14 @@ signed averaging model, with terminal clustering and balance analytics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .engine import Trajectory, _finish
 from .matrices import RowStochasticMatrix
-from .sequences import MatrixSequence
+from .sequences import IndexedSequence, MatrixSequence
 from .tolerances import CLUSTER_TOL, CONSENSUS_TOL, FEAS_TOL, tail_window
 
 __all__ = [
@@ -195,7 +196,8 @@ def _coerce_signed(n: int, value) -> np.ndarray:
 class SignedMatrixSequence:
     """Sequence A(0), A(1), ... of signed matrices whose absolute values are
     row-stochastic and whose diagonals are nonnegative; negative entries
-    encode antagonistic influence."""
+    encode antagonistic influence.  Stored by an IndexedSequence, so a
+    generator must be pure: its matrices are cached once validated."""
 
     n: int
     period: int = 0
@@ -205,15 +207,9 @@ class SignedMatrixSequence:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be positive")
-        if (self.matrices is None) == (self.generator is None):
-            raise ValueError("exactly one of matrices/generator must be given")
-        if self.matrices is not None:
-            mats = tuple(_coerce_signed(self.n, m) for m in self.matrices)
-            if not mats:
-                raise ValueError("explicit sequence must be nonempty")
-            if self.period > 0 and len(mats) != self.period:
-                raise ValueError("explicit periodic sequence must store exactly one period")
-            object.__setattr__(self, "matrices", mats)
+        store = IndexedSequence(partial(_coerce_signed, self.n), self.period, self.matrices, self.generator)
+        object.__setattr__(self, "_store", store)
+        object.__setattr__(self, "matrices", store.items)
 
     @classmethod
     def constant(cls, A) -> "SignedMatrixSequence":
@@ -230,15 +226,7 @@ class SignedMatrixSequence:
         return cls(n=n, period=period, generator=fn)
 
     def matrix(self, k: int) -> np.ndarray:
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        if self.period > 0:
-            k = k % self.period
-        if self.matrices is not None:
-            if k >= len(self.matrices):
-                raise ValueError(f"finite sequence of length {len(self.matrices)} has no A({k})")
-            return self.matrices[k]
-        return _coerce_signed(self.n, self.generator(k))
+        return self._store.at(k)
 
     def absolute_sequence(self) -> MatrixSequence:
         """The magnitude sequence |A(k)| as a plain averaging sequence."""

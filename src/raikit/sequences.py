@@ -10,6 +10,7 @@ are truncated at a horizon and the verdicts are documented heuristics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -19,6 +20,7 @@ from .matrices import RowStochasticMatrix
 from .tolerances import CUT_ENUMERATION_LIMIT, DIVERGENCE_THRESHOLD
 
 __all__ = [
+    "IndexedSequence",
     "MatrixSequence",
     "PersistentGraphEstimate",
     "ReciprocityReport",
@@ -42,15 +44,79 @@ def _coerce(n: int, value) -> RowStochasticMatrix:
     return RowStochasticMatrix(n=n, entries=e)
 
 
+class IndexedSequence:
+    """Values v(0), v(1), ... from explicit storage or a generator.
+
+    ``validate`` maps a raw item to its stored form and raises ValueError
+    on bad input.  Explicit ``items`` are validated at construction: with
+    ``period`` > 0 they hold exactly one period and v(k) = items[k mod
+    period]; with period 0 they are finite, and a lookup past their end
+    raises, or with ``hold_last`` returns the last item.  A ``generator``
+    k -> raw item (k reduced mod period when period > 0) is validated on
+    first fetch and cached in ``cache`` for the life of the sequence, so it
+    must be pure.
+    """
+
+    __slots__ = ("validate", "period", "items", "generator", "cache", "hold_last")
+
+    def __init__(
+        self,
+        validate: Callable[[object], object],
+        period: int = 0,
+        items: Iterable | None = None,
+        generator: Callable[[int], object] | None = None,
+        cache: dict | None = None,
+        hold_last: bool = False,
+    ) -> None:
+        if period < 0:
+            raise ValueError("period must be >= 0")
+        if (items is None) == (generator is None):
+            raise ValueError("exactly one of explicit items/generator must be given")
+        if items is not None:
+            items = tuple(validate(v) for v in items)
+            if not items:
+                raise ValueError("explicit sequence must be nonempty")
+            if period > 0 and len(items) != period:
+                raise ValueError(
+                    f"explicit periodic sequence must store exactly one period:"
+                    f" {len(items)} stored for period {period}"
+                )
+        self.validate = validate
+        self.period = period
+        self.items = items
+        self.generator = generator
+        self.cache = {} if cache is None else cache
+        self.hold_last = hold_last
+
+    def at(self, k: int):
+        if k < 0:
+            raise ValueError("k must be >= 0")
+        if self.period > 0:
+            k = k % self.period
+        items = self.items
+        if items is not None:
+            if k < len(items):
+                return items[k]
+            if self.hold_last:
+                return items[-1]
+            raise ValueError(f"finite sequence of length {len(items)} has no term k={k}")
+        got = self.cache.get(k)
+        if got is None:
+            got = self.validate(self.generator(k))
+            self.cache[k] = got
+        return got
+
+
 @dataclass(frozen=True)
 class MatrixSequence:
     """A sequence W(0), W(1), ... of validated row-stochastic matrices.
 
-    Backed either by an explicit list or by a pure function k -> W(k).
-    ``period`` > 0 declares W(k + period) = W(k) exactly (for explicit
-    storage the list length must equal the period); 0 means no claimed
-    periodicity.  ``horizon_K`` is the truncation length analysis routines
-    fall back to; None defers to each checker's documented default.
+    Backed either by an explicit list or by a pure function k -> W(k)
+    (stored by an IndexedSequence; generated matrices are cached in
+    ``cache``).  ``period`` > 0 declares W(k + period) = W(k) exactly (for
+    explicit storage the list length must equal the period); 0 means no
+    claimed periodicity.  ``horizon_K`` is the truncation length analysis
+    routines fall back to; None defers to each checker's documented default.
     """
 
     n: int
@@ -63,24 +129,17 @@ class MatrixSequence:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be positive")
-        if self.period < 0:
-            raise ValueError("period must be >= 0")
-        if (self.matrices is None) == (self.generator is None):
-            raise ValueError("exactly one of matrices/generator must be given")
-        if self.matrices is not None:
-            mats = tuple(_coerce(self.n, m) for m in self.matrices)
-            if not mats:
-                raise ValueError("explicit sequence must be nonempty")
-            if self.period > 0 and len(mats) != self.period:
-                raise ValueError("explicit periodic sequence must store exactly one period")
-            object.__setattr__(self, "matrices", mats)
-        elif self.period > 0:
+        store = IndexedSequence(
+            partial(_coerce, self.n), self.period, self.matrices, self.generator, self.cache
+        )
+        object.__setattr__(self, "_store", store)
+        object.__setattr__(self, "matrices", store.items)
+        if self.generator is not None and self.period > 0:
             # Spot-check the declared period on the generator once.
-            w0 = _coerce(self.n, self.generator(0))
+            w0 = store.at(0)
             wp = _coerce(self.n, self.generator(self.period))
             if not np.array_equal(w0.entries, wp.entries):
                 raise ValueError("generator violates its declared period at k=0")
-            self.cache[0] = w0
 
     @classmethod
     def constant(cls, W, horizon_K: int | None = None) -> "MatrixSequence":
@@ -106,21 +165,7 @@ class MatrixSequence:
         return cls(n=n, period=period, horizon_K=horizon_K, generator=fn)
 
     def matrix(self, k: int) -> RowStochasticMatrix:
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        if self.period > 0:
-            k = k % self.period
-        if self.matrices is not None:
-            if k >= len(self.matrices):
-                raise ValueError(
-                    f"finite sequence of length {len(self.matrices)} has no W({k})"
-                )
-            return self.matrices[k]
-        got = self.cache.get(k)
-        if got is None:
-            got = _coerce(self.n, self.generator(k))
-            self.cache[k] = got
-        return got
+        return self._store.at(k)
 
     def known_length(self) -> int | None:
         """Length of the explicitly stored aperiodic list, else None."""
@@ -321,14 +366,20 @@ class UniformCutBalanceReport:
     exact: bool
 
 
-def _window_sums(seq: MatrixSequence, k0_count: int, L: int) -> list[np.ndarray]:
-    """Entrywise sums over [k0, k0+L] for each window start k0 < k0_count."""
+def _window_sums(seq: MatrixSequence, L: int) -> tuple[list[np.ndarray], bool]:
+    """Entrywise sums over [k0, k0+L] for each window start k0 that matters,
+    and whether those starts cover every case: exactly the starts below the
+    period for periodic sequences, else the starts within the horizon."""
+    if seq.period > 0:
+        k0_count, exact = seq.period, True
+    else:
+        k0_count, exact = max(_default_horizon(seq) - L, 1), False
     n = seq.n
     need = k0_count + L
     prefix = [np.zeros((n, n))]
     for k in range(need + 1):
         prefix.append(prefix[-1] + seq.matrix(k).entries)
-    return [prefix[k0 + L + 1] - prefix[k0] for k0 in range(k0_count)]
+    return [prefix[k0 + L + 1] - prefix[k0] for k0 in range(k0_count)], exact
 
 
 def check_uniform_cut_balance(seq: MatrixSequence, L: int):
@@ -339,23 +390,15 @@ def check_uniform_cut_balance(seq: MatrixSequence, L: int):
     if L < 0:
         raise ValueError("L must be >= 0")
     _reject_large(seq.n)
-    p = seq.period
-    if p > 0:
-        k0_count = p
-        exact = True
-    else:
-        horizon = _default_horizon(seq)
-        k0_count = max(horizon - L, 1)
-        exact = False
-    sums = _window_sums(seq, k0_count, L)
+    sums, exact = _window_sums(seq, L)
     best = 0.0
     any_flow = False
     for cut in all_cuts(seq.n):
         Il, Jl = sorted(cut.left), sorted(cut.right)
         sub = np.ix_(Il, Jl)
-        for k0 in range(k0_count):
-            f_ij = float(sums[k0][sub].sum())
-            f_ji = float(sums[k0].T[sub].sum())
+        for k0, window in enumerate(sums):
+            f_ij = float(window[sub].sum())
+            f_ji = float(window.T[sub].sum())
             if (f_ij > 0) != (f_ji > 0):
                 return UniformCutBalanceReport(
                     holds=False, C=None, witness=(cut, k0), exact=exact
@@ -393,18 +436,10 @@ def check_arc_balance(seq: MatrixSequence, L: int) -> ArcBalanceReport:
     ]
     if len(arcs) < 2:
         return ArcBalanceReport(holds=True, C=1.0, exact=pg.exact)
-    p = seq.period
-    if p > 0:
-        k0_count = p
-        exact = True
-    else:
-        horizon = _default_horizon(seq)
-        k0_count = max(horizon - L, 1)
-        exact = False
-    sums = _window_sums(seq, k0_count, L)
+    sums, exact = _window_sums(seq, L)
     best = 1.0
-    for k0 in range(k0_count):
-        vals = [float(sums[k0][i, j]) for (i, j) in arcs]
+    for window in sums:
+        vals = [float(window[i, j]) for (i, j) in arcs]
         hi, lo = max(vals), min(vals)
         if hi > 0 and lo == 0:
             return ArcBalanceReport(holds=False, C=None, exact=exact)

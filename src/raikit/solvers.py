@@ -149,9 +149,8 @@ class ConvexProjector:
             return xi - p["pinv"] @ (p["A"] @ xi - p["b"])
         raise ValueError(f"unknown projector kind {self.kind!r}")
 
-    def fixed_point_test(self, xi) -> bool:
-        xi = np.asarray(xi, dtype=float)
-        return _norm(self.norm_tag, self.apply(xi) - xi) < FP_TOL
+    # Both map types expose apply and norm_tag; the test is shared.
+    fixed_point_test = Paracontraction.fixed_point_test
 
 
 def project(p, xi) -> np.ndarray:

@@ -28,6 +28,13 @@ DIVERGENCE_THRESHOLD = 10.0   # partial-sum threshold for persistent arcs
 # Opinion models.
 CLUSTER_TOL = 1e-6      # terminal values closer than this share a cluster
 
+
+def hk_step_cap(n: int) -> int:
+    """Default step cap of a bounded-confidence run of n agents (scenarios
+    without ``max_steps``): 10 * n**3."""
+    return 10 * n**3
+
+
 # Fixed-point solvers.
 FP_TOL = 1e-9           # fixed-point membership test
 SOLVER_TOL = 1e-6       # default stopping tolerance for solve()

@@ -118,6 +118,26 @@ def test_invalid_parameters_exit_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: validation:")
 
 
+def test_delay_period_not_matching_tables_exit_two(tmp_path, capsys):
+    sc = {
+        "schema_version": SCHEMA_VERSION,
+        "name": "bad_delays",
+        "kind": "simulate_rai",
+        "parameters": {
+            "sequence": {"kind": "constant", "matrix": [[0.5, 0.5], [0.5, 0.5]]},
+            "delays": {"d_star": 1, "period": 3, "tables": [[[0, 1], [0, 0]]]},
+            "history": [[0.0, 1.0], [1.0, 0.0]],
+            "steps": 100,
+        },
+    }
+    ref = _write(tmp_path, sc)
+    assert main(["--out-dir", str(tmp_path), "simulate", ref]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation:")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "bad_delays.verdict.json").exists()
+
+
 def test_byte_determinism_and_seed_override(tmp_path):
     ref = _write(tmp_path, _rai_scenario(seed=4))
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"

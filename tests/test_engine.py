@@ -118,6 +118,40 @@ def test_delay_spec_validation():
     assert DelaySpec.from_json_obj(spec.to_json_obj()).to_json_obj() == spec.to_json_obj()
 
 
+def test_delay_spec_period_zero_holds_last_table():
+    one = [[0, 1], [0, 0]]
+    two = [[0, 0], [1, 0]]
+    constant = DelaySpec(d_star=1, tables=(one,))
+    assert all(np.array_equal(constant.table(k), one) for k in (0, 1, 7, 1000))
+    played = DelaySpec(d_star=1, tables=(one, two))
+    assert np.array_equal(played.table(0), one)
+    assert all(np.array_equal(played.table(k), two) for k in (1, 2, 50))
+    # The period-0 reading comes from the JSON form's default.
+    from_json = DelaySpec.from_json_obj({"d_star": 1, "tables": [one, two]})
+    assert from_json.period == 0 and np.array_equal(from_json.table(9), two)
+
+
+def test_delay_spec_storage_must_hold_one_period():
+    with pytest.raises(ValueError):
+        DelaySpec(d_star=1, tables=([[0, 1], [0, 0]],), period=3)
+    with pytest.raises(ValueError):
+        DelaySpec(d_star=1, tables=([[0, 1], [0, 0]],), period=-1)
+
+
+def test_delay_spec_function_validated_once_per_step():
+    calls = []
+
+    def fn(k):
+        calls.append(k)
+        return [[0, k % 2], [0, 0]]
+
+    spec = DelaySpec.from_function(fn, d_star=1)
+    assert spec.table(3) is spec.table(3)
+    assert calls == [3]
+    with pytest.raises(ValueError):
+        DelaySpec.from_function(lambda k: [[0, 2], [0, 0]], d_star=1).table(0)
+
+
 def test_xiao_stack_zero_delay_is_w_itself():
     W = RowStochasticMatrix(n=3, entries=FRENCH)
     Xi = xiao_stack(W, [[0] * 3] * 3, 0)

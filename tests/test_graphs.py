@@ -18,6 +18,7 @@ from raikit import (
     is_aperiodic,
     strong_components,
 )
+from raikit.graphs import reachable
 
 
 def _reach_closure(weights):
@@ -283,3 +284,46 @@ def test_cut_validation():
     assert len(list(all_cuts(3))) == 6
     with pytest.raises(ValueError):
         list(all_cuts(25))
+
+
+def _levels_by_powering(weights, start, allowed, reverse):
+    """BFS levels from boolean matrix powering: step[u, v] marks a walk
+    step u -> v onto an allowed v; level(v) is the least k with v in
+    start * step^k."""
+    n = weights.shape[0]
+    arcs = (weights != 0) if reverse else (weights.T != 0)
+    step = arcs & np.array([allowed is None or v in allowed for v in range(n)])
+    frontier = np.array([v in start for v in range(n)])
+    seen = frontier.copy()
+    levels = {int(v): 0 for v in np.flatnonzero(frontier)}
+    for k in range(1, n):
+        frontier = (frontier.astype(int) @ step.astype(int) > 0) & ~seen
+        levels.update((int(v), k) for v in np.flatnonzero(frontier))
+        seen |= frontier
+    return levels
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.lists(st.floats(0.0, 1.0), min_size=64, max_size=64),
+    st.integers(0, 255),
+    st.integers(0, 255),
+    st.booleans(),
+    st.booleans(),
+)
+def test_reachable_matches_boolean_powering(n, cells, start_bits, allowed_bits, restrict, reverse):
+    # Entries below 0.6 become 0, so about 40% of the arcs are present.
+    w = np.array(cells[: n * n]).reshape(n, n)
+    w[w < 0.6] = 0.0
+    g = WeightedDigraph(n=n, weights=w)
+    start = {v for v in range(n) if start_bits >> v & 1} or {0}
+    allowed = {v for v in range(n) if allowed_bits >> v & 1} if restrict else None
+    got = reachable(g, start, allowed, reverse=reverse)
+    assert got == _levels_by_powering(w, start, allowed, reverse)
+    if allowed is None:
+        # Unrestricted reachability is a row of the transitive closure
+        # (columns of it when walking against the arcs).
+        R = _reach_closure(w)
+        closure = R.T if reverse else R
+        assert set(got) == {v for v in range(n) if any(closure[s, v] for s in start)}

@@ -157,3 +157,20 @@ def test_modulus_consensus_skips_empty_sign_block():
     v = modulus_consensus_verdict(traj)
     assert v.modulus_consensus and not v.degenerate
     assert v.polarization == ((0, 1, 2),)
+
+
+def test_signed_sequence_storage_checks_and_generator_cache():
+    A = np.array([[0.5, -0.5], [0.5, 0.5]])
+    with pytest.raises(ValueError):
+        SignedMatrixSequence(n=2, period=-1, matrices=(A,))
+    with pytest.raises(ValueError):
+        SignedMatrixSequence.explicit([A, A], period=3)
+    calls = []
+
+    def gen(k):
+        calls.append(k)
+        return A
+
+    seq = SignedMatrixSequence.from_generator(gen, n=2, period=2)
+    assert seq.matrix(1) is seq.matrix(5)
+    assert calls == [1]

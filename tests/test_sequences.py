@@ -14,6 +14,7 @@ from raikit import (
     persistent_graph,
     strong_components,
 )
+from raikit.sequences import IndexedSequence
 
 FRENCH = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [1 / 3, 1 / 3, 1 / 3]])
 
@@ -254,3 +255,49 @@ def test_cut_balanced_persistent_components_isolated():
     est = persistent_graph(seq)
     dec = strong_components(est.graph)
     assert all(cls == "isolated" for cls in dec.classification)
+
+
+def test_indexed_sequence_storage_modes():
+    validated = []
+
+    def validate(v):
+        validated.append(v)
+        return v * 10
+
+    periodic = IndexedSequence(validate, period=3, items=[1, 2, 3])
+    assert validated == [1, 2, 3]
+    assert [periodic.at(k) for k in (0, 1, 2, 3, 7)] == [10, 20, 30, 10, 20]
+    assert validated == [1, 2, 3]  # lookups never re-validate explicit items
+    finite = IndexedSequence(validate, items=[1, 2])
+    with pytest.raises(ValueError):
+        finite.at(2)
+    held = IndexedSequence(validate, items=[1, 2], hold_last=True)
+    assert held.at(5) == 20
+    with pytest.raises(ValueError):
+        held.at(-1)
+    generated = IndexedSequence(validate, period=4, generator=lambda k: k + 1)
+    validated.clear()
+    assert generated.at(6) == 30 and generated.at(2) == 30 and generated.at(10) == 30
+    assert validated == [3] and generated.cache == {2: 30}
+    for bad in (
+        dict(period=-1, items=[1]),
+        dict(items=[]),
+        dict(period=2, items=[1]),
+        dict(items=[1], generator=lambda k: k),
+        dict(),
+    ):
+        with pytest.raises(ValueError):
+            IndexedSequence(validate, **bad)
+
+
+def test_generated_matrices_cached_for_the_life_of_the_sequence():
+    calls = []
+
+    def gen(k):
+        calls.append(k)
+        return FRENCH if k % 2 else np.eye(3)
+
+    seq = MatrixSequence.from_generator(gen, n=3)
+    first = [seq.matrix(k) for k in range(4)]
+    assert all(seq.matrix(k) is first[k] for k in range(4))
+    assert calls == [0, 1, 2, 3] and len(seq.cache) == 4
