@@ -78,10 +78,11 @@ def _force_exact_row_sums(entries: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RowStochasticMatrix:
     """Nonnegative square matrix whose rows each sum to exactly 1.0 after
-    validation (input row sums may deviate by up to ``ROW_SUM_TOL``)."""
+    validation (input row sums may deviate by up to ``ROW_SUM_TOL``).
+    Equal when the validated entries are identical; unhashable."""
 
     n: int
     entries: np.ndarray
@@ -98,6 +99,13 @@ class RowStochasticMatrix:
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.entries, other.entries)
+
+    __hash__ = None  # type: ignore[assignment]
+
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[float]]) -> "RowStochasticMatrix":
         e = np.asarray(list(rows), dtype=float)
@@ -107,13 +115,14 @@ class RowStochasticMatrix:
         return WeightedDigraph(n=self.n, weights=self.entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubstochasticMatrix:
     """Nonnegative square matrix with row sums at most 1.
 
     Rows whose input sum lies in (1, 1 + ROW_SUM_TOL] are scaled down to sum
     exactly 1, so the spectral radius is bounded by 1 in floating point.
     ``deficiency_set`` collects the rows with sum < 1 - ROW_SUM_TOL.
+    Equal when the validated entries are identical; unhashable.
     """
 
     n: int
@@ -137,6 +146,17 @@ class SubstochasticMatrix:
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
         object.__setattr__(self, "deficiency_set", deficient)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self.deficiency_set == other.deficiency_set
+            and np.array_equal(self.entries, other.entries)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[float]]) -> "SubstochasticMatrix":

@@ -15,9 +15,16 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Cut, WeightedDigraph, all_cuts
+from .graphs import (
+    Cut,
+    WeightedDigraph,
+    _cut_constant,
+    _unbalanced_cut,
+    block_flows,
+    cut_blocks,
+)
 from .matrices import RowStochasticMatrix
-from .tolerances import CUT_ENUMERATION_LIMIT, DIVERGENCE_THRESHOLD
+from .tolerances import DIVERGENCE_THRESHOLD
 
 __all__ = [
     "IndexedSequence",
@@ -117,6 +124,8 @@ class MatrixSequence:
     explicit storage the list length must equal the period); 0 means no
     claimed periodicity.  ``horizon_K`` is the truncation length analysis
     routines fall back to; None defers to each checker's documented default.
+    Two sequences are equal when n, period, horizon and the stored matrices
+    are equal and they share the generator; sequences are unhashable.
     """
 
     n: int
@@ -125,6 +134,8 @@ class MatrixSequence:
     matrices: tuple | None = None
     generator: Callable[[int], object] | None = None
     cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    __hash__ = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -278,81 +289,73 @@ class ReciprocityReport:
     exact: bool
 
 
-def _reject_large(n: int) -> None:
-    if n > CUT_ENUMERATION_LIMIT:
-        raise ValueError(
-            f"exhaustive cut enumeration needs n <= {CUT_ENUMERATION_LIMIT}, got {n}"
-        )
-
-
 def check_reciprocity(seq: MatrixSequence, M: int, T: int) -> ReciprocityReport:
     """Exhaustive check over all cuts (I, J) and windows [k0, k1]: if the
     count of distinct J-to-I pairs active in [k0, k1] reaches M, some I-to-J
-    arc must be active in [k0, k1 + T].
+    arc must be active in [k0, k1 + T].  The reported violation is the first
+    in (cut mask, k0, k1) order, masks as in ``all_cuts``.
 
-    Periodic sequences: exact (k0 below the period and window lengths up to
-    2*period*(M+1)+T cover every case).  Aperiodic: windows within the
-    horizon only, and a violation is reported only when the full response
-    window fits inside it."""
+    Periodic sequences: exact (k0 below the period and windows up to one
+    period long cover every case: after one period a window and its response
+    window have seen every arc they ever will).  Aperiodic: windows within
+    the horizon only, and a violation is reported only when the full
+    response window fits inside it.
+
+    Cuts are checked in ``cut_blocks`` blocks with exact integer counts:
+    each window costs O(b n^2) for the b cuts of a block still undecided on
+    it, and a cut is decided on a window start as soon as its count reaches
+    M or an answer arrives.  Raises ValueError when n exceeds
+    ``CUT_ENUMERATION_LIMIT``."""
     if M < 1 or T < 0:
         raise ValueError("need M >= 1 and T >= 0")
-    _reject_large(seq.n)
+    blocks = cut_blocks(seq.n)  # raises above the enumeration limit
     p = seq.period
     if p > 0:
-        k0_range = range(p)
-        span = 2 * p * (M + 1) + T
-        exact = True
+        k0_count, exact = p, True
     else:
-        horizon = _default_horizon(seq, M, T)
-        k0_range = range(horizon)
-        span = None
-        exact = False
+        k0_count, exact = _default_horizon(seq, M, T), False
 
-    # Activity patterns are fetched lazily and cached by step.
+    # 0/1 activity patterns are fetched lazily and cached by step.
     act: dict[int, np.ndarray] = {}
 
     def active(k: int) -> np.ndarray:
         a = act.get(k)
         if a is None:
-            a = seq.matrix(k).entries > 0
+            a = (seq.matrix(k).entries > 0).astype(np.int64)
             act[k] = a
         return a
 
-    for cut in all_cuts(seq.n):
-        Il, Jl = sorted(cut.left), sorted(cut.right)
-        premise_sub = np.ix_(Il, Jl)
-        response_sub = np.ix_(Jl, Il)
-        for k0 in k0_range:
-            if p > 0:
-                k1_max = k0 + span
-            else:
-                k1_max = len(k0_range) - 1
-                if k0 > k1_max:
+    for _, X in blocks:
+        # Only block rows before the first violating one found so far can
+        # still change the answer.
+        first_bad, window = len(X), None
+        for k0 in range(k0_count):
+            if first_bad == 0:
+                break
+            k1_stop = k0 + p - 1 if p > 0 else k0_count - 1
+            rows = np.arange(first_bad)
+            seen = np.zeros((seq.n, seq.n), dtype=np.int64)
+            heard = np.zeros_like(seen)
+            t = k0
+            for k1 in range(k0, k1_stop + 1):
+                if not rows.size:
                     break
-            seen = np.zeros((len(Il), len(Jl)), dtype=bool)
-            responded = False
-            for k1 in range(k0, k1_max + 1):
-                seen |= active(k1)[premise_sub]
-                if not responded:
-                    lo = k0 if k1 == k0 else k1 + T
-                    for t in range(lo, k1 + T + 1):
-                        if p == 0 and t > k1_max:
-                            break
-                        if active(t)[response_sub].any():
-                            responded = True
-                            break
-                if responded:
-                    break
-                if int(seen.sum()) >= M:
-                    if p > 0 or k1 + T <= k1_max:
-                        return ReciprocityReport(
-                            holds=False,
-                            M=M,
-                            T=T,
-                            violating_cut=cut,
-                            violating_window=(k0, k1),
-                            exact=exact,
-                        )
+                seen |= active(k1)
+                while t <= k1 + T and (p > 0 or t <= k1_stop):
+                    heard |= active(t)
+                    t += 1
+                Xr = X[rows]
+                answered = block_flows(Xr, heard.T) > 0
+                reached = block_flows(Xr, seen) >= M
+                bad = rows[reached & ~answered]
+                if bad.size and (p > 0 or k1 + T <= k1_stop):
+                    first_bad, window = int(bad[0]), (k0, k1)
+                rows = rows[~(answered | reached) & (rows < first_bad)]
+        if window is not None:
+            cut = Cut.of(np.flatnonzero(X[first_bad]).tolist(), seq.n)
+            return ReciprocityReport(
+                holds=False, M=M, T=T, violating_cut=cut, violating_window=window, exact=exact
+            )
     return ReciprocityReport(
         holds=True, M=M, T=T, violating_cut=None, violating_window=None, exact=exact
     )
@@ -375,40 +378,38 @@ def _window_sums(seq: MatrixSequence, L: int) -> tuple[list[np.ndarray], bool]:
     else:
         k0_count, exact = max(_default_horizon(seq) - L, 1), False
     n = seq.n
-    need = k0_count + L
     prefix = [np.zeros((n, n))]
-    for k in range(need + 1):
+    for k in range(k0_count + L):
         prefix.append(prefix[-1] + seq.matrix(k).entries)
     return [prefix[k0 + L + 1] - prefix[k0] for k0 in range(k0_count)], exact
 
 
-def check_uniform_cut_balance(seq: MatrixSequence, L: int):
+def check_uniform_cut_balance(seq: MatrixSequence, L: int) -> UniformCutBalanceReport:
     """Windowed cut balance: over every cut and window [k0, k0+L], the two
     cross-flows must be both positive or both zero; C is the largest ratio
     between opposite windowed flows.  Exact for periodic sequences (window
-    starts below the period cover all cases)."""
+    starts below the period cover all cases).
+
+    Every window sum is first decided as a graph, as in
+    ``cut_balance_certificate``: the check holds iff every strongly
+    connected component of every window graph is isolated (O(n^2) per
+    window, no cut enumerated).  The witness is ``(cut, k0)`` for the first
+    unbalanced window k0, with the certificate's cut: the downstream closure
+    of a component that receives flow in that window and returns none.  Only
+    when every window is balanced is C computed, as the largest of the
+    per-window constants, by blockwise enumeration of all cuts (O(2^n n^2)
+    per window).  Above ``CUT_ENUMERATION_LIMIT`` nodes the verdict and
+    witness are still decided and C is None."""
     if L < 0:
         raise ValueError("L must be >= 0")
-    _reject_large(seq.n)
     sums, exact = _window_sums(seq, L)
-    best = 0.0
-    any_flow = False
-    for cut in all_cuts(seq.n):
-        Il, Jl = sorted(cut.left), sorted(cut.right)
-        sub = np.ix_(Il, Jl)
-        for k0, window in enumerate(sums):
-            f_ij = float(window[sub].sum())
-            f_ji = float(window.T[sub].sum())
-            if (f_ij > 0) != (f_ji > 0):
-                return UniformCutBalanceReport(
-                    holds=False, C=None, witness=(cut, k0), exact=exact
-                )
-            if f_ji > 0:
-                any_flow = True
-                best = max(best, f_ij / f_ji)
-    return UniformCutBalanceReport(
-        holds=True, C=best if any_flow else 1.0, witness=None, exact=exact
-    )
+    for k0, window in enumerate(sums):
+        cut = _unbalanced_cut(WeightedDigraph(n=seq.n, weights=window))
+        if cut is not None:
+            return UniformCutBalanceReport(holds=False, C=None, witness=(cut, k0), exact=exact)
+    constants = [_cut_constant(window) for window in sums]
+    C = None if None in constants else max(constants)
+    return UniformCutBalanceReport(holds=True, C=C, witness=None, exact=exact)
 
 
 @dataclass(frozen=True)

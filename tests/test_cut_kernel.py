@@ -1,0 +1,311 @@
+"""The blockwise all-cuts kernel and the three checkers built on it, against
+the per-cut loops they replaced (kept here as reference oracles)."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from raikit import (
+    Cut,
+    MatrixSequence,
+    WeightedDigraph,
+    all_cuts,
+    check_reciprocity,
+    check_uniform_cut_balance,
+    cut_balance_certificate,
+    cut_flow,
+)
+import raikit.graphs
+from raikit.graphs import CUT_BLOCK_ROWS, block_flows, cut_blocks
+from raikit.sequences import _default_horizon, _window_sums
+from raikit.tolerances import CUT_ENUMERATION_LIMIT
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: one Cut object and one numpy index per cut and window.
+
+
+def _reference_reciprocity(seq, M, T):
+    """(holds, violating_cut, violating_window, exact), first violation in
+    (cut, k0, k1) order."""
+    p = seq.period
+    if p > 0:
+        k0_range = range(p)
+        span = 2 * p * (M + 1) + T
+        exact = True
+    else:
+        k0_range = range(_default_horizon(seq, M, T))
+        span = None
+        exact = False
+
+    def active(k):
+        return seq.matrix(k).entries > 0
+
+    for cut in all_cuts(seq.n):
+        Il, Jl = sorted(cut.left), sorted(cut.right)
+        premise_sub = np.ix_(Il, Jl)
+        response_sub = np.ix_(Jl, Il)
+        for k0 in k0_range:
+            if p > 0:
+                k1_max = k0 + span
+            else:
+                k1_max = len(k0_range) - 1
+                if k0 > k1_max:
+                    break
+            seen = np.zeros((len(Il), len(Jl)), dtype=bool)
+            responded = False
+            for k1 in range(k0, k1_max + 1):
+                seen |= active(k1)[premise_sub]
+                if not responded:
+                    lo = k0 if k1 == k0 else k1 + T
+                    for t in range(lo, k1 + T + 1):
+                        if p == 0 and t > k1_max:
+                            break
+                        if active(t)[response_sub].any():
+                            responded = True
+                            break
+                if responded:
+                    break
+                if int(seen.sum()) >= M and (p > 0 or k1 + T <= k1_max):
+                    return False, cut, (k0, k1), exact
+    return True, None, None, exact
+
+
+def _reference_uniform(seq, L):
+    """(holds, C) from every cut of every window sum."""
+    sums, _ = _window_sums(seq, L)
+    best, any_flow = 0.0, False
+    for cut in all_cuts(seq.n):
+        sub = np.ix_(sorted(cut.left), sorted(cut.right))
+        for window in sums:
+            f_ij = float(window[sub].sum())
+            f_ji = float(window.T[sub].sum())
+            if (f_ij > 0) != (f_ji > 0):
+                return False, None
+            if f_ji > 0:
+                any_flow = True
+                best = max(best, f_ij / f_ji)
+    return True, best if any_flow else 1.0
+
+
+def _reference_constant(g):
+    best, any_ratio = 0.0, False
+    for cut in all_cuts(g.n):
+        f_ij, f_ji = cut_flow(g, cut)
+        if f_ji > 0:
+            any_ratio = True
+            best = max(best, f_ij / f_ji)
+    return best if any_ratio else 1.0
+
+
+# ---------------------------------------------------------------------------
+# Random inputs: sparse nonnegative patterns, symmetrized half the time so
+# that balanced and reciprocal cases are common.
+
+
+def _pattern(cells, n, symmetric):
+    w = np.array(cells[: n * n]).reshape(n, n)
+    w = np.where(w < 0.6, 0.0, w)
+    if symmetric:
+        w = w + w.T
+    return w
+
+
+def _stochastic(w):
+    w = w + np.diag(np.where(w.sum(axis=1) == 0, 1.0, 0.2))
+    return w / w.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def sequences(draw):
+    n = draw(st.integers(1, 8))
+    periodic = draw(st.booleans())
+    count = draw(st.integers(1, 3 if periodic else 5))
+    symmetric = draw(st.booleans())
+    cells = st.lists(st.floats(0.0, 1.0), min_size=n * n, max_size=n * n)
+    mats = [_stochastic(_pattern(draw(cells), n, symmetric)) for _ in range(count)]
+    return MatrixSequence.explicit(mats, period=count if periodic else 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sequences(), st.sampled_from([1, 2]), st.integers(0, 2))
+def test_reciprocity_matches_per_cut_loop(seq, M, T):
+    rep = check_reciprocity(seq, M, T)
+    holds, cut, window, exact = _reference_reciprocity(seq, M, T)
+    assert (rep.holds, rep.violating_cut, rep.violating_window, rep.exact) == (
+        holds,
+        cut,
+        window,
+        exact,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(sequences(), st.integers(0, 2))
+def test_uniform_cut_balance_matches_per_cut_loop(seq, L):
+    if seq.period == 0 and len(seq.matrices) <= L:
+        with pytest.raises(ValueError):  # no window fits in the stored list
+            check_uniform_cut_balance(seq, L)
+        return
+    rep = check_uniform_cut_balance(seq, L)
+    holds, C = _reference_uniform(seq, L)
+    assert rep.holds == holds
+    if holds:
+        assert rep.witness is None
+        assert rep.C == pytest.approx(C, rel=1e-12)
+    else:
+        assert rep.C is None
+        cut, k0 = rep.witness
+        window = _window_sums(seq, L)[0][k0]
+        into = float(window[np.ix_(sorted(cut.left), sorted(cut.right))].sum())
+        out = float(window[np.ix_(sorted(cut.right), sorted(cut.left))].sum())
+        assert (into > 0) != (out > 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.lists(st.floats(0.0, 1.0), min_size=64, max_size=64), st.booleans())
+def test_certificate_constant_matches_per_cut_loop(n, cells, symmetric):
+    g = WeightedDigraph(n=n, weights=_pattern(cells, n, symmetric))
+    cert = cut_balance_certificate(g)
+    flows = [cut_flow(g, c) for c in all_cuts(n)]
+    assert cert.balanced == all((a > 0) == (b > 0) for a, b in flows)
+    if cert.balanced:
+        assert cert.constant_C == pytest.approx(_reference_constant(g), rel=1e-12)
+        if symmetric:
+            assert cert.constant_C == 1.0  # exactly, as the per-cut loop gives
+    else:
+        f_ij, f_ji = cut_flow(g, cert.witness_cut)
+        assert f_ij > 0 and f_ji == 0
+
+
+# ---------------------------------------------------------------------------
+# The kernel itself.
+
+
+def test_cut_blocks_follow_all_cuts_order_in_doubling_blocks():
+    n = 12
+    rows, sizes, nxt = [], [], 1
+    for first, X in cut_blocks(n):
+        assert first == nxt and X.shape[1] == n and X.dtype == bool
+        nxt += len(X)
+        sizes.append(len(X))
+        rows.extend(frozenset(np.flatnonzero(r).tolist()) for r in X)
+    assert rows == [c.left for c in all_cuts(n)]
+    assert sizes[:11] == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, CUT_BLOCK_ROWS]
+    assert max(sizes) == CUT_BLOCK_ROWS
+    assert list(cut_blocks(1)) == []
+
+
+def test_cut_blocks_reject_large_n_at_call_time():
+    with pytest.raises(ValueError):
+        cut_blocks(CUT_ENUMERATION_LIMIT + 1)
+
+
+def test_block_flows_match_cut_flow():
+    rng = np.random.default_rng(5)
+    w = rng.random((6, 6)) * (rng.random((6, 6)) < 0.5)
+    g = WeightedDigraph(n=6, weights=w)
+    cuts = list(all_cuts(6))
+    got = np.concatenate(
+        [np.stack([block_flows(X, w), block_flows(X, w.T)], 1) for _, X in cut_blocks(6)]
+    )
+    want = np.array([cut_flow(g, c) for c in cuts])
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# Failures on the first cut {0}, and the uniform check above the limit.
+
+
+def _one_way_at_zero(n, period=3):
+    """Symmetric ring 1 - 2 - ... - (n-1) - 1 with one edge per step, plus
+    agent 0 listening to agent 1 at every step: nobody listens to 0."""
+    mats = [np.eye(n) for _ in range(period)]
+    ring = list(range(1, n))
+    for t, a in enumerate(ring):
+        b = ring[(t + 1) % len(ring)]
+        W = mats[t % period]
+        W[a, b] += 0.1
+        W[b, a] += 0.1
+        W[a, a] -= 0.1
+        W[b, b] -= 0.1
+    for W in mats:
+        W[0, 1] += 0.2
+        W[0, 0] -= 0.2
+    return mats
+
+
+def test_failure_on_cut_zero_reports_that_cut():
+    n = 8
+    seq = MatrixSequence.explicit(_one_way_at_zero(n), period=3)
+    zero = Cut.of([0], n)
+    rec = check_reciprocity(seq, M=1, T=0)
+    assert not rec.holds
+    assert (rec.violating_cut, rec.violating_window) == (zero, (0, 0))
+    ucb = check_uniform_cut_balance(seq, 2)
+    assert not ucb.holds and ucb.C is None
+    assert ucb.witness == (zero, 0)
+    assert ucb.witness[0] == _reference_reciprocity(seq, 1, 0)[1]
+
+
+def test_reciprocity_reports_first_cut_of_a_block_that_fails_early():
+    # Cuts {1} (mask 2) and {0, 1} (mask 3) share a block.  {1} fails on
+    # window (0, 0) through arc 0 -> 1; {0, 1} fails later, on (0, 1),
+    # through arc 2 -> 1.  Node 0 never receives, so cut {0} holds.
+    step0 = np.eye(3)
+    step0[1] = [0.5, 0.5, 0.0]
+    step1 = np.eye(3)
+    step1[1] = [0.0, 0.5, 0.5]
+    seq = MatrixSequence.explicit([step0, step1], period=2)
+    rep = check_reciprocity(seq, M=1, T=0)
+    assert (rep.violating_cut, rep.violating_window) == (Cut.of([1], 3), (0, 0))
+    assert _reference_reciprocity(seq, 1, 0)[1:3] == (Cut.of([1], 3), (0, 0))
+
+
+def test_reciprocity_counts_arcs_over_several_steps_of_a_period():
+    # Node 0 hears node 1 at step 0 and node 2 at step 1 and never answers:
+    # with M = 2 no single step violates, the two-step window (0, 1) does.
+    step0 = np.eye(3)
+    step0[0] = [0.5, 0.5, 0.0]
+    step1 = np.eye(3)
+    step1[0] = [0.5, 0.0, 0.5]
+    seq = MatrixSequence.explicit([step0, step1], period=2)
+    rep = check_reciprocity(seq, M=2, T=1)
+    assert (rep.violating_cut, rep.violating_window) == (Cut.of([0], 3), (0, 1))
+    assert _reference_reciprocity(seq, 2, 1)[1:3] == (Cut.of([0], 3), (0, 1))
+
+
+def test_uniform_failure_in_last_window_enumerates_no_cut(monkeypatch):
+    # Windows 0-2 are the identity; only window 3, the last of the period,
+    # carries the one-way arc 1 -> 0.
+    n, p = 6, 4
+    mats = [np.eye(n) for _ in range(p)]
+    mats[-1][0] = [0.8, 0.2, 0, 0, 0, 0]
+    seq = MatrixSequence.explicit(mats, period=p)
+    assert _reference_uniform(seq, 0) == (False, None)
+
+    def no_enumeration(n):
+        raise AssertionError("a failing uniform check enumerated cuts")
+
+    monkeypatch.setattr(raikit.graphs, "cut_blocks", no_enumeration)
+    rep = check_uniform_cut_balance(seq, 0)
+    assert not rep.holds and rep.C is None
+    assert rep.witness == (Cut.of([0], n), p - 1)
+
+
+def test_uniform_cut_balance_above_enumeration_limit():
+    n = CUT_ENUMERATION_LIMIT + 4
+    failing = MatrixSequence.explicit(_one_way_at_zero(n), period=3)
+    rep = check_uniform_cut_balance(failing, 2)
+    assert not rep.holds and rep.C is None and rep.exact
+    assert rep.witness == (Cut.of([0], n), 0)
+
+    # drop the one-way listening arc: only the symmetric ring remains
+    mats = _one_way_at_zero(n)
+    for W in mats:
+        W[0, 0], W[0, 1] = 1.0, W[0, 1] - 0.2
+    rep = check_uniform_cut_balance(MatrixSequence.explicit(mats, period=3), 2)
+    assert rep.holds and rep.C is None and rep.witness is None and rep.exact
+    with pytest.raises(ValueError):
+        check_reciprocity(failing, M=1, T=0)

@@ -189,3 +189,28 @@ def test_sia_diameter_forgets_monotonically():
             assert diam <= diam_prev + 1e-12
             diam_prev = diam
         assert diam_prev < 1e-6 or n == 1
+
+
+def test_value_equality_returns_bools_and_stays_unhashable():
+    from raikit import MatrixSequence, WeightedDigraph
+
+    half = [[0.5, 0.5], [0.0, 1.0]]
+    deficient = [[0.5, 0.0], [0.0, 1.0]]
+    pairs = [
+        (RowStochasticMatrix.from_rows, np.eye(2), half),
+        (SubstochasticMatrix.from_rows, deficient, [[0.5, 0.25], [0.0, 1.0]]),
+        (WeightedDigraph.from_weights, np.eye(2), half),
+        (lambda rows: MatrixSequence.explicit([rows], period=1), np.eye(2), half),
+    ]
+    for make, rows, other_rows in pairs:
+        a, b, c = make(rows), make(rows), make(other_rows)
+        assert (a == b) is True and (a != b) is False
+        assert (a == c) is False and (a != c) is True
+        assert (a == "not a matrix") is False
+        with pytest.raises(TypeError):
+            hash(a)
+    # the same entries under another type are not equal
+    assert RowStochasticMatrix.from_rows(np.eye(2)) != WeightedDigraph.from_weights(np.eye(2))
+    # a sequence's horizon is part of its value
+    one = MatrixSequence.explicit([np.eye(2)], period=1)
+    assert one != MatrixSequence.explicit([np.eye(2)], period=1, horizon_K=5)

@@ -301,3 +301,17 @@ def test_generated_matrices_cached_for_the_life_of_the_sequence():
     first = [seq.matrix(k) for k in range(4)]
     assert all(seq.matrix(k) is first[k] for k in range(4))
     assert calls == [0, 1, 2, 3] and len(seq.cache) == 4
+
+
+def test_uniform_cut_balance_on_finite_explicit_sequence():
+    # windows [0, 1] and [1, 2] of a three-step list: the second one sees
+    # the one-way arc 1 -> 2 alone
+    one_way = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]])
+    seq = MatrixSequence.explicit([np.eye(3), _sym_pair(3, 0, 1), one_way])
+    rep = check_uniform_cut_balance(seq, 1)
+    assert not rep.holds and not rep.exact
+    cut, k0 = rep.witness
+    assert (cut.left, cut.right, k0) == ({2}, {0, 1}, 1)
+    assert check_uniform_cut_balance(MatrixSequence.explicit([np.eye(3), _sym_pair(3, 0, 1)]), 1).holds
+    with pytest.raises(ValueError):
+        check_uniform_cut_balance(seq, 3)  # no window of four steps fits
