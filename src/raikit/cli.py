@@ -4,8 +4,9 @@ Scenarios are JSON files ({"schema_version": 1, "name", "kind",
 "parameters", "seed", "outputs"}) dispatched to the library modules; each
 run writes a verdict JSON and, for simulations, a trajectory artifact.
 Exit codes: 0 success, 2 validation error (one machine-parsable line on
-stderr), 3 mathematical non-convergence (the run itself is fine, but some
-agent failed to converge or the solver gave up).  Identical scenario and
+stderr; a run whose state becomes non-finite ends here too, since it has
+no verdict), 3 mathematical non-convergence (the run itself is fine, but
+some agent failed to converge or the solver gave up).  Identical scenario and
 seed produce byte-identical artifacts.
 """
 
@@ -22,8 +23,10 @@ from .engine import DelaySpec, DisturbancePolicy, classify, run_delayed_rai, run
 from .graphs import (
     WeightedDigraph,
     cut_balance_certificate,
+    dump_json,
     graph_from_edgelist,
     is_aperiodic,
+    json_form,
     strong_components,
 )
 from .matrices import (
@@ -80,10 +83,6 @@ class ScenarioError(Exception):
     def __init__(self, code: str, message: str) -> None:
         super().__init__(message)
         self.code = code
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _require(params: dict, key: str):
@@ -161,22 +160,14 @@ def _graph_from(params: dict) -> WeightedDigraph:
 def _run_analyze_graph(params: dict, seed: int) -> tuple[dict, int, dict]:
     g = _graph_from(params)
     dec = strong_components(g)
-    aperiodic = [is_aperiodic(g, comp) for comp in dec.components]
-    cert = cut_balance_certificate(g)
     verdict = {
         "n": g.n,
         "components": [list(c) for c in dec.components],
         "classification": list(dec.classification),
         "is_strong": dec.is_strong,
         "is_quasi_strong": dec.is_quasi_strong,
-        "aperiodic_components": aperiodic,
-        "cut_balance": {
-            "balanced": cert.balanced,
-            "constant_C": cert.constant_C,
-            "witness_cut": None
-            if cert.witness_cut is None
-            else [sorted(cert.witness_cut.left), sorted(cert.witness_cut.right)],
-        },
+        "aperiodic_components": [is_aperiodic(g, comp) for comp in dec.components],
+        "cut_balance": cut_balance_certificate(g).to_json_obj(),
     }
     return verdict, 0, {}
 
@@ -188,27 +179,22 @@ def _run_analyze_matrix(params: dict, seed: int) -> tuple[dict, int, dict]:
         rows = np.asarray(_require(entry, "rows"), dtype=float)
         if entry.get("substochastic", False):
             A = SubstochasticMatrix(n=rows.shape[0], entries=rows)
-            stab = schur_stability_by_reachability(A)
             results.append(
                 {
                     "name": name,
                     "substochastic": True,
                     "spectral_radius": spectral_radius(A),
-                    "stable": stab.stable,
-                    "unreachable_nodes": sorted(stab.unreachable_nodes),
+                    **schur_stability_by_reachability(A).to_json_obj(),
                     "deficiency_set": sorted(A.deficiency_set),
                 }
             )
         else:
             W = RowStochasticMatrix(n=rows.shape[0], entries=rows)
-            sia = check_sia(W)
             results.append(
                 {
                     "name": name,
                     "substochastic": False,
-                    "is_sia": sia.is_sia,
-                    "reason": sia.reason,
-                    "pi": None if sia.pi is None else [float(v) for v in sia.pi],
+                    **check_sia(W).to_json_obj(),
                     "primitive": is_primitive(W),
                 }
             )
@@ -221,35 +207,12 @@ def _run_check_sequence(params: dict, seed: int) -> tuple[dict, int, dict]:
     T = int(params.get("T", 0))
     L = int(params.get("L", 0))
     pg = persistent_graph(seq)
-    rec = check_reciprocity(seq, M, T)
-    ucb = check_uniform_cut_balance(seq, L)
-    ab = check_arc_balance(seq, L)
     verdict = {
-        "persistent_arcs": sorted(
-            [int(j), int(i)] for (j, i) in pg.graph.arc_set()
-        ),
+        "persistent_arcs": json_form(pg.graph.arc_set()),
         "persistent_exact": pg.exact,
-        "reciprocity": {
-            "holds": rec.holds,
-            "M": rec.M,
-            "T": rec.T,
-            "violating_cut": None
-            if rec.violating_cut is None
-            else [sorted(rec.violating_cut.left), sorted(rec.violating_cut.right)],
-            "violating_window": None
-            if rec.violating_window is None
-            else list(rec.violating_window),
-            "exact": rec.exact,
-        },
-        "uniform_cut_balance": {
-            "holds": ucb.holds,
-            "C": ucb.C,
-            "witness": None
-            if ucb.witness is None
-            else [[sorted(ucb.witness[0].left), sorted(ucb.witness[0].right)], ucb.witness[1]],
-            "exact": ucb.exact,
-        },
-        "arc_balance": {"holds": ab.holds, "C": ab.C, "exact": ab.exact},
+        "reciprocity": check_reciprocity(seq, M, T).to_json_obj(),
+        "uniform_cut_balance": check_uniform_cut_balance(seq, L).to_json_obj(),
+        "arc_balance": check_arc_balance(seq, L).to_json_obj(),
     }
     return verdict, 0, {}
 
@@ -279,15 +242,11 @@ def _run_simulate_hk(params: dict, seed: int) -> tuple[dict, int, dict]:
     )
     max_steps = int(params.get("max_steps", hk_step_cap(x0.shape[0])))
     traj, report = run_hk(x0, cfg, max_steps)
-    if report.terminated_at is not None:
-        code = 0
-        verdict_obj = None
-    else:
-        verdict = classify(traj)
-        verdict_obj = verdict.to_json_obj()
-        code = 0 if verdict.all_converged() else 3
+    # A run that froze is settled and is not classified.
+    verdict = None if report.terminated_at is not None else classify(traj)
+    code = 0 if verdict is None or verdict.all_converged() else 3
     return (
-        {"cluster_report": report.to_json_obj(), "verdict": verdict_obj},
+        {"cluster_report": report.to_json_obj(), "verdict": json_form(verdict)},
         code,
         {"trajectory": traj},
     )
@@ -385,9 +344,11 @@ def run_scenario(
             )
         eff_seed = int(scenario.get("seed", 0)) if seed is None else int(seed)
         try:
-            verdict_body, code, artifacts = _RUNNERS[scenario["kind"]](
-                scenario["parameters"], eff_seed
-            )
+            # An overflow ends in the one-line error below, not in warnings.
+            with np.errstate(over="ignore", invalid="ignore"):
+                verdict_body, code, artifacts = _RUNNERS[scenario["kind"]](
+                    scenario["parameters"], eff_seed
+                )
         except ScenarioError:
             raise
         except (ValueError, KeyError, TypeError) as e:
@@ -405,12 +366,12 @@ def run_scenario(
         }
         verdict_obj.update(verdict_body)
         verdict_path = out / outputs.get("verdict", f"{name}.verdict.json")
-        verdict_path.write_text(_dump(verdict_obj), newline="\n")
+        verdict_path.write_text(dump_json(verdict_obj), newline="\n")
         if "trajectory" in artifacts:
             traj = artifacts["trajectory"]
             if fmt == "json":
                 tpath = out / outputs.get("trajectory", f"{name}.trajectory.json")
-                tpath.write_text(_dump(traj.to_json_obj()), newline="\n")
+                tpath.write_text(dump_json(traj.to_json_obj()), newline="\n")
             else:
                 tpath = out / outputs.get("trajectory", f"{name}.trajectory.csv")
                 tpath.write_text(traj.to_csv(), newline="\n")
@@ -440,7 +401,7 @@ def list_bundled(fmt: str = "csv") -> int:
             }
         )
     if fmt == "json":
-        sys.stdout.write(_dump(rows))
+        sys.stdout.write(dump_json(rows))
     else:
         width = max((len(r["name"]) for r in rows), default=4)
         kindw = max((len(r["kind"]) for r in rows), default=4)

@@ -11,14 +11,13 @@ just approximately: see run_delayed_rai.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Cut
+from .graphs import Cut, Report
 from .matrices import RowStochasticMatrix
 from .sequences import IndexedSequence, MatrixSequence
 from .tolerances import (
@@ -54,7 +53,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Report):
     """A finite run x(0..K) with its per-step disturbances and extremes.
 
     ``states`` is (K+1) x n, ``residuals`` is K x n (the disturbance applied
@@ -122,23 +121,23 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> dict:
-        obj = {
-            "states": [[float(v) for v in row] for row in self.states],
-            "residuals": [[float(v) for v in row] for row in self.residuals],
-            "M": [float(v) for v in self.M],
-            "m": [float(v) for v in self.m],
-            "d": [float(v) for v in self.d],
-        }
-        if self.window_max is not None:
-            obj["window_max"] = [float(v) for v in self.window_max]
+        obj = super().to_json_obj()
+        if self.window_max is None:
+            del obj["window_max"]  # only delayed runs have the key
         return obj
 
 
 def _finish(states, residuals, window_max=None) -> Trajectory:
+    """Pack a run into a Trajectory.  A non-finite state has no verdict and
+    raises ValueError naming its first step; the row max and min propagate
+    NaN and infinity, so checking those two vectors covers every entry."""
     S = np.array(states, dtype=float)
     R = np.array(residuals, dtype=float) if residuals else np.zeros((0, S.shape[1]))
     M = S.max(axis=1)
     m = S.min(axis=1)
+    finite = np.isfinite(M) & np.isfinite(m)
+    if not finite.all():
+        raise ValueError(f"state became non-finite at step {int(np.argmin(finite))}")
     return Trajectory(
         states=S,
         residuals=R,
@@ -474,16 +473,13 @@ def run_delayed_rai(
 
 
 @dataclass(frozen=True)
-class AgentStatus:
+class AgentStatus(Report):
     kind: str  # converged | diverging_to_minus_infinity | oscillating
     limit: float | None
 
-    def to_json_obj(self) -> dict:
-        return {"kind": self.kind, "limit": self.limit}
-
 
 @dataclass(frozen=True)
-class ConvergenceVerdict:
+class ConvergenceVerdict(Report):
     """Tail-based classification of a finite trajectory.
 
     ``consensus`` requires every agent converged with limits within
@@ -500,18 +496,6 @@ class ConvergenceVerdict:
 
     def all_converged(self) -> bool:
         return all(s.kind == "converged" for s in self.statuses)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "statuses": [s.to_json_obj() for s in self.statuses],
-            "consensus": self.consensus,
-            "consensus_value": self.consensus_value,
-            "residual_vanishes": list(self.residual_vanishes),
-            "common_divergence": self.common_divergence,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n"
 
 
 def classify(traj: Trajectory) -> ConvergenceVerdict:

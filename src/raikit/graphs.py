@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Container, Iterable, Iterator
 
 import numpy as np
@@ -26,6 +26,10 @@ import numpy as np
 from .tolerances import CUT_ENUMERATION_LIMIT
 
 __all__ = [
+    "Report",
+    "json_form",
+    "dump_json",
+    "fields_equal",
     "WeightedDigraph",
     "Cut",
     "SccDecomposition",
@@ -42,6 +46,58 @@ __all__ = [
     "cut_blocks",
     "block_flows",
 ]
+
+
+def json_form(value):
+    """The JSON form of a result, walked field by field.
+
+    A dataclass becomes ``{field: json_form(value)}``, a ``Cut``
+    ``[sorted(left), sorted(right)]``, an ndarray its ``tolist()``, a tuple
+    or list a list, a set or frozenset a sorted list; anything else is
+    returned as it is."""
+    if isinstance(value, (float, int, str, type(None))):
+        return value  # first, because histories hold thousands of floats
+    if isinstance(value, Cut):
+        return [sorted(value.left), sorted(value.right)]
+    if is_dataclass(value):
+        return {f.name: json_form(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [json_form(v) for v in value]
+    if isinstance(value, (set, frozenset)):
+        return [json_form(v) for v in sorted(value)]
+    return value
+
+
+def dump_json(obj) -> str:
+    """The one JSON dump of verdicts and JSON artifacts: sorted keys,
+    two-space indent, trailing newline, so equal objects give identical
+    bytes."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def fields_equal(self, other) -> bool:
+    """Value ``__eq__`` for dataclasses holding arrays: same type, then
+    ``np.array_equal`` on ndarray fields and ``==`` on the others."""
+    if type(other) is not type(self):
+        return NotImplemented
+    for f in fields(self):
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+            return False
+    return True
+
+
+class Report:
+    """Base of the result dataclasses: the JSON form is ``json_form`` of the
+    fields, dumped by ``dump_json``."""
+
+    def to_json_obj(self) -> dict:
+        return json_form(self)
+
+    def to_json(self) -> str:
+        return dump_json(self.to_json_obj())
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,11 +125,7 @@ class WeightedDigraph:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.n == other.n and np.array_equal(self.weights, other.weights)
-
+    __eq__ = fields_equal
     __hash__ = None  # type: ignore[assignment]
 
     @classmethod
@@ -374,7 +426,7 @@ def cut_flow(g: WeightedDigraph, cut: Cut) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class CutBalanceCertificate:
+class CutBalanceCertificate(Report):
     balanced: bool
     constant_C: float | None
     witness_cut: Cut | None
@@ -452,10 +504,7 @@ def _cut_constant(w: np.ndarray) -> float | None:
 
 
 def graph_to_json(g: WeightedDigraph) -> str:
-    return json.dumps(
-        {"n": g.n, "weights": [[float(x) for x in row] for row in g.weights]},
-        sort_keys=True,
-    )
+    return json.dumps(json_form(g), sort_keys=True)
 
 
 def graph_from_json(text: str) -> WeightedDigraph:

@@ -14,7 +14,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import WeightedDigraph, is_aperiodic, reachable, strong_components
+from .graphs import (
+    Report,
+    WeightedDigraph,
+    fields_equal,
+    is_aperiodic,
+    reachable,
+    strong_components,
+)
 from .tolerances import EIG_TOL, ENTRY_FLUSH, ROW_SUM_TOL
 
 __all__ = [
@@ -99,11 +106,7 @@ class RowStochasticMatrix:
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.n == other.n and np.array_equal(self.entries, other.entries)
-
+    __eq__ = fields_equal
     __hash__ = None  # type: ignore[assignment]
 
     @classmethod
@@ -147,15 +150,7 @@ class SubstochasticMatrix:
         object.__setattr__(self, "entries", e)
         object.__setattr__(self, "deficiency_set", deficient)
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.deficiency_set == other.deficiency_set
-            and np.array_equal(self.entries, other.entries)
-        )
-
+    __eq__ = fields_equal
     __hash__ = None  # type: ignore[assignment]
 
     @classmethod
@@ -168,7 +163,7 @@ class SubstochasticMatrix:
 
 
 @dataclass(frozen=True)
-class SiaVerdict:
+class SiaVerdict(Report):
     """Outcome of the ergodicity test for a row-stochastic matrix.
 
     ``is_sia`` holds iff powers of the matrix converge to a rank-one matrix
@@ -179,13 +174,6 @@ class SiaVerdict:
     is_sia: bool
     pi: np.ndarray | None
     reason: str
-
-    def to_json_obj(self) -> dict:
-        return {
-            "is_sia": self.is_sia,
-            "pi": None if self.pi is None else [float(x) for x in self.pi],
-            "reason": self.reason,
-        }
 
 
 def check_sia(W: RowStochasticMatrix) -> SiaVerdict:
@@ -288,15 +276,9 @@ def spectral_radius(A: SubstochasticMatrix) -> float:
 
 
 @dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(Report):
     stable: bool
     unreachable_nodes: frozenset[int]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "stable": self.stable,
-            "unreachable_nodes": sorted(self.unreachable_nodes),
-        }
 
 
 def schur_stability_by_reachability(A: SubstochasticMatrix) -> StabilityVerdict:

@@ -12,6 +12,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .engine import Trajectory, _finish
+from .graphs import Report
 from .matrices import RowStochasticMatrix
 from .sequences import IndexedSequence, MatrixSequence
 from .tolerances import CLUSTER_TOL, CONSENSUS_TOL, FEAS_TOL, tail_window
@@ -75,7 +76,7 @@ def hk_weights(x, epsilon: float) -> RowStochasticMatrix:
 
 
 @dataclass(frozen=True)
-class ClusterReport:
+class ClusterReport(Report):
     """Terminal grouping of an opinion run.
 
     Agents are merged into a cluster when their final values agree within
@@ -97,14 +98,10 @@ class ClusterReport:
     terminated_at: int | None
 
     def to_json_obj(self) -> dict:
-        return {
-            "clusters": [list(c) for c in self.clusters],
-            "values": list(self.values),
-            "min_gap": None if np.isinf(self.min_gap) else self.min_gap,
-            "truth_cluster": list(self.truth_cluster),
-            "frozen_agents": list(self.frozen_agents),
-            "terminated_at": self.terminated_at,
-        }
+        obj = super().to_json_obj()
+        if np.isinf(self.min_gap):
+            obj["min_gap"] = None  # JSON has no infinity
+        return obj
 
 
 def _cluster(final: np.ndarray, truth: float, states: np.ndarray, terminated_at):
@@ -271,7 +268,7 @@ def run_altafini(seq: SignedMatrixSequence, x0, steps: int) -> Trajectory:
 
 
 @dataclass(frozen=True)
-class ModulusConsensusVerdict:
+class ModulusConsensusVerdict(Report):
     """Do all |x_i(k)| settle on one common magnitude?
 
     If yes and the magnitude is positive, ``polarization`` partitions the
@@ -282,14 +279,6 @@ class ModulusConsensusVerdict:
     limit_magnitude: float | None
     polarization: tuple | None
     degenerate: bool
-
-    def to_json_obj(self) -> dict:
-        return {
-            "modulus_consensus": self.modulus_consensus,
-            "limit_magnitude": self.limit_magnitude,
-            "polarization": None if self.polarization is None else [list(b) for b in self.polarization],
-            "degenerate": self.degenerate,
-        }
 
 
 def modulus_consensus_verdict(traj: Trajectory) -> ModulusConsensusVerdict:
@@ -324,15 +313,9 @@ def modulus_consensus_verdict(traj: Trajectory) -> ModulusConsensusVerdict:
 
 
 @dataclass(frozen=True)
-class StructuralBalanceReport:
+class StructuralBalanceReport(Report):
     balanced: bool
     gauge: tuple | None
-
-    def to_json_obj(self) -> dict:
-        return {
-            "balanced": self.balanced,
-            "gauge": None if self.gauge is None else list(self.gauge),
-        }
 
 
 def recover_structural_balance(seq: SignedMatrixSequence, horizon: int) -> StructuralBalanceReport:

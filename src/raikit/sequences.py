@@ -17,6 +17,7 @@ import numpy as np
 
 from .graphs import (
     Cut,
+    Report,
     WeightedDigraph,
     _cut_constant,
     _unbalanced_cut,
@@ -277,7 +278,7 @@ def arc_count(seq: MatrixSequence, I: Iterable[int], J: Iterable[int], k0: int, 
 
 
 @dataclass(frozen=True)
-class ReciprocityReport:
+class ReciprocityReport(Report):
     """Window-count reciprocity: M crossing arcs one way within any window
     must be answered by at least one arc back within T extra steps."""
 
@@ -362,7 +363,7 @@ def check_reciprocity(seq: MatrixSequence, M: int, T: int) -> ReciprocityReport:
 
 
 @dataclass(frozen=True)
-class UniformCutBalanceReport:
+class UniformCutBalanceReport(Report):
     holds: bool
     C: float | None
     witness: tuple[Cut, int] | None
@@ -413,7 +414,7 @@ def check_uniform_cut_balance(seq: MatrixSequence, L: int) -> UniformCutBalanceR
 
 
 @dataclass(frozen=True)
-class ArcBalanceReport:
+class ArcBalanceReport(Report):
     holds: bool
     C: float | None
     exact: bool

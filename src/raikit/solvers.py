@@ -13,12 +13,12 @@ x(k+1) <= W(k) x(k), so the network results apply verbatim.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .graphs import Report
 from .sequences import MatrixSequence
 from .tolerances import FP_TOL, MAX_ITERS, SOLVER_TOL
 
@@ -227,7 +227,7 @@ def step(problem: MultiAgentProblem, states: np.ndarray, k: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SolveResult:
+class SolveResult(Report):
     converged: bool
     solution: np.ndarray
     iterations: int
@@ -235,20 +235,6 @@ class SolveResult:
     constraint_violation: float
     disagreement_history: tuple
     violation_history: tuple
-
-    def to_json_obj(self) -> dict:
-        return {
-            "converged": self.converged,
-            "solution": [float(v) for v in self.solution],
-            "iterations": self.iterations,
-            "agent_disagreement": self.agent_disagreement,
-            "constraint_violation": self.constraint_violation,
-            "disagreement_history": list(self.disagreement_history),
-            "violation_history": list(self.violation_history),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, indent=2) + "\n"
 
     def history_csv(self) -> str:
         lines = ["iteration,disagreement,violation"]
@@ -318,17 +304,10 @@ def solve(
 
 
 @dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Report):
     violations: int
     worst_margin: float | None
     fixed_point: np.ndarray
-
-    def to_json_obj(self) -> dict:
-        return {
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "fixed_point": [float(v) for v in self.fixed_point],
-        }
 
 
 def paracontraction_audit(p, samples: int, seed: int = 0) -> AuditReport:

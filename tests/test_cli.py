@@ -1,6 +1,9 @@
 """Command line behavior: exit codes, artifacts, determinism, catalog."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -224,3 +227,44 @@ def test_solver_scenario_writes_history(tmp_path):
     assert main(["--out-dir", str(tmp_path), "solve", "solve_linear_pre_project"]) == 0
     hist = (tmp_path / "solve_linear_pre_project.history.csv").read_text()
     assert hist.splitlines()[0] == "iteration,disagreement,violation"
+
+
+def _overflow_scenario():
+    """A cyclic weight matrix with a huge constant disturbance: the state
+    passes -1.8e308 and becomes non-finite at step 351 (seed 0)."""
+    sc = _rai_scenario(name="overflow", steps=400)
+    sc["parameters"].update(
+        sequence={"kind": "constant", "matrix": [[0, 1.0, 0], [0, 0, 1.0], [1.0, 0, 0]]},
+        x0=[1.0, 2.0, 3.0],
+        policy={"kind": "constant_random", "scale": 1e306},
+    )
+    return sc
+
+
+def test_non_finite_state_exit_two(tmp_path, capsys):
+    ref = _write(tmp_path, _overflow_scenario())
+    assert main(["--out-dir", str(tmp_path), "simulate", ref]) == 2
+    assert capsys.readouterr().err == "error: validation: state became non-finite at step 351\n"
+    assert not (tmp_path / "overflow.verdict.json").exists()
+
+
+def test_non_finite_state_console_stderr_is_one_line(tmp_path):
+    """Run as a process, numpy's overflow warnings must not reach stderr."""
+    ref = _write(tmp_path, _overflow_scenario())
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from raikit.cli import main; sys.exit(main())",
+         "--out-dir", str(tmp_path), "simulate", ref],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: validation: state became non-finite at step 351\n"
+
+
+def test_trajectory_shorter_than_tail_window_exit_two(tmp_path, capsys):
+    ref = _write(tmp_path, _rai_scenario(name="short", steps=5))
+    assert main(["--out-dir", str(tmp_path), "simulate", ref]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation: trajectory too short to classify")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "short.verdict.json").exists()
