@@ -162,7 +162,7 @@ def _run_analyze_graph(params: dict, seed: int) -> tuple[dict, int, dict]:
     dec = strong_components(g)
     verdict = {
         "n": g.n,
-        "components": [list(c) for c in dec.components],
+        "components": [sorted(c) for c in dec.components],
         "classification": list(dec.classification),
         "is_strong": dec.is_strong,
         "is_quasi_strong": dec.is_quasi_strong,

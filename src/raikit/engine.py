@@ -128,11 +128,12 @@ class Trajectory(Report):
 
 
 def _finish(states, residuals, window_max=None) -> Trajectory:
-    """Pack a run into a Trajectory.  A non-finite state has no verdict and
-    raises ValueError naming its first step; the row max and min propagate
-    NaN and infinity, so checking those two vectors covers every entry."""
-    S = np.array(states, dtype=float)
-    R = np.array(residuals, dtype=float) if residuals else np.zeros((0, S.shape[1]))
+    """Pack a run into a Trajectory; float arrays are taken without a copy.
+    A non-finite state has no verdict and raises ValueError naming its
+    first step; the row max and min propagate NaN and infinity, so checking
+    those two vectors covers every entry."""
+    S = np.asarray(states, dtype=float)
+    R = np.asarray(residuals, dtype=float) if len(residuals) else np.zeros((0, S.shape[1]))
     M = S.max(axis=1)
     m = S.min(axis=1)
     finite = np.isfinite(M) & np.isfinite(m)
@@ -144,7 +145,7 @@ def _finish(states, residuals, window_max=None) -> Trajectory:
         M=M,
         m=m,
         d=M - m,
-        window_max=None if window_max is None else np.array(window_max, dtype=float),
+        window_max=None if window_max is None else np.asarray(window_max, dtype=float),
     )
 
 
@@ -157,7 +158,8 @@ class DisturbancePolicy:
     kind "constant_random": scale * uniform[0,1]^n, non-vanishing.
     kind "adversarial_replay": an explicit table of vectors, cycled when the
     run is longer than the table (the replayed counterexamples are periodic).
-    Random kinds are deterministic given ``seed``; an emitter is single-pass.
+    Random kinds are deterministic given ``seed``.  A run draws its whole
+    (steps, n) block of disturbances once and checks it once.
     """
 
     kind: str
@@ -172,14 +174,14 @@ class DisturbancePolicy:
 
     @classmethod
     def vanishing_random(cls, scale: float, decay: float, seed: int = 0) -> "DisturbancePolicy":
-        if scale < 0 or not 0 < decay < 1:
-            raise ValueError("need scale >= 0 and 0 < decay < 1")
+        if not np.isfinite(scale) or scale < 0 or not 0 < decay < 1:
+            raise ValueError("need a finite scale >= 0 and 0 < decay < 1")
         return cls(kind="vanishing_random", scale=scale, decay=decay, seed=seed)
 
     @classmethod
     def constant_random(cls, scale: float, seed: int = 0) -> "DisturbancePolicy":
-        if scale < 0:
-            raise ValueError("scale must be >= 0")
+        if not np.isfinite(scale) or scale < 0:
+            raise ValueError("scale must be a finite number >= 0")
         return cls(kind="constant_random", scale=scale, seed=seed)
 
     @classmethod
@@ -215,48 +217,42 @@ class DisturbancePolicy:
             return {"kind": "constant_random", "scale": self.scale, "seed": self.seed}
         return {"kind": "adversarial_replay", "deltas": [list(r) for r in self.replay]}
 
-    def emitter(self, n: int) -> Callable[[int], np.ndarray]:
+    def draw(self, n: int, steps: int) -> np.ndarray:
+        """delta(0), ..., delta(steps-1) as a (steps, n) block.  One block
+        draw takes the same generator bits as one draw of n per step, and
+        each decay factor is the scalar scale * decay**k.  Raises ValueError
+        naming the first step with a negative or non-finite entry."""
         if self.kind == "zero":
-            z = np.zeros(n)
-
-            def emit(k: int) -> np.ndarray:
-                return z
-
-        elif self.kind == "vanishing_random":
-            rng = np.random.default_rng(self.seed)
-            scale, decay = self.scale, self.decay
-
-            def emit(k: int) -> np.ndarray:
-                return scale * decay**k * rng.random(n)
-
-        elif self.kind == "constant_random":
-            rng = np.random.default_rng(self.seed)
-            scale = self.scale
-
-            def emit(k: int) -> np.ndarray:
-                return scale * rng.random(n)
-
+            block = np.zeros((steps, n))
+        elif self.kind in ("vanishing_random", "constant_random"):
+            block = np.random.default_rng(self.seed).random((steps, n))
+            if self.kind == "vanishing_random":
+                scale, decay = self.scale, self.decay
+                block *= np.array([scale * decay**k for k in range(steps)])[:, None]
+            else:
+                block *= self.scale
         elif self.kind == "adversarial_replay":
-            table = [np.array(row, dtype=float) for row in self.replay]
-            for row in table:
-                if row.shape != (n,):
-                    raise ValueError("replay rows do not match the state dimension")
-
-            def emit(k: int) -> np.ndarray:
-                return table[k % len(table)]
-
+            if any(len(row) != n for row in self.replay):
+                raise ValueError("replay rows do not match the state dimension")
+            table = np.array(self.replay, dtype=float)
+            block = table[np.arange(steps) % len(table)]
         else:
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
-        return emit
+        ok = (np.isfinite(block) & (block >= 0)).all(axis=1)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            what = "a negative" if (block[k] < 0).any() else "a non-finite"
+            raise ValueError(f"disturbance at step {k} has {what} entry")
+        return block
 
 
 def _check_x0(x0, n: int) -> np.ndarray:
     x = np.asarray(x0, dtype=float)
     if x.shape != (n,):
         raise ValueError(f"initial vector must have shape ({n},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("initial vector must be finite")
-    return x.copy()
+    return x
 
 
 def run_rai(
@@ -264,23 +260,18 @@ def run_rai(
 ) -> Trajectory:
     """Run x(k+1) = W(k) x(k) - delta(k) for the given number of steps.
 
-    The stored residuals are the emitted disturbances; with the zero policy
-    the result is bitwise identical to run_degroot."""
+    The stored residuals are the drawn disturbances; with the zero policy
+    the result is bitwise identical to run_degroot.  States are written
+    into one preallocated (steps+1, n) array."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     x = _check_x0(x0, seq.n)
-    emit = policy.emitter(seq.n)
-    states = [x]
-    residuals = []
+    deltas = policy.draw(seq.n, steps)
+    states = np.empty((steps + 1, seq.n))
+    states[0] = x
     for k in range(steps):
-        wx = seq.matrix(k).entries @ x
-        delta = emit(k)
-        if np.any(delta < 0):
-            raise ValueError(f"disturbance at step {k} has a negative entry")
-        x = wx - delta
-        states.append(x)
-        residuals.append(delta)
-    return _finish(states, residuals)
+        np.subtract(seq.matrix(k).entries @ states[k], deltas[k], out=states[k + 1])
+    return _finish(states, deltas)
 
 
 def run_degroot(seq: MatrixSequence, x0, steps: int) -> Trajectory:
@@ -441,11 +432,12 @@ def run_delayed_rai(
             raise ValueError("history must be finite")
     # y = [x(0); x(-1); ...; x(-d_star)], newest first.
     y = np.concatenate(hist[::-1])
-    emit = policy.emitter(n)
+    deltas = policy.draw(n, steps)
     stacked_cache: dict = {}
-    states = [y[:n].copy()]
-    residuals = []
-    window_max = [float(y.max())]
+    states = np.empty((steps + 1, n))
+    window_max = np.empty(steps + 1)
+    states[0] = y[:n]
+    window_max[0] = y.max()
     for k in range(steps):
         W = seq.matrix(k)
         table = delays.table(k)
@@ -454,22 +446,17 @@ def run_delayed_rai(
         if Xi is None:
             Xi = _stack(W, table, ds)
             stacked_cache[key] = Xi
-        y_next = Xi.entries @ y
-        delta = emit(k)
-        if np.any(delta < 0):
-            raise ValueError(f"disturbance at step {k} has a negative entry")
-        y_next[:n] = y_next[:n] - delta
-        wm = float(y_next.max())
-        prev = window_max[-1]
+        y = Xi.entries @ y
+        y[:n] -= deltas[k]
+        wm = float(y.max())
+        prev = float(window_max[k])
         if wm > prev + FEAS_TOL * max(1.0, abs(prev)):
             raise RuntimeError(
                 f"delay-window max increased at step {k}: {prev!r} -> {wm!r}"
             )
-        y = y_next
-        states.append(y[:n].copy())
-        residuals.append(delta)
-        window_max.append(wm)
-    return _finish(states, residuals, window_max=window_max)
+        states[k + 1] = y[:n]
+        window_max[k + 1] = wm
+    return _finish(states, deltas, window_max=window_max)
 
 
 @dataclass(frozen=True)

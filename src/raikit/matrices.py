@@ -36,53 +36,48 @@ __all__ = [
 ]
 
 
-def _flush_tiny(entries: np.ndarray) -> np.ndarray:
-    out = entries.copy()
-    out[np.abs(out) < ENTRY_FLUSH] = 0.0
-    return out
-
-
 def _checked_entries(n: int, entries) -> np.ndarray:
     """Validation shared by both matrix classes: a finite n x n array,
-    flushed, with no negative entry left."""
+    flushed into a new array, with no negative entry left."""
     e = np.asarray(entries, dtype=float)
     if e.ndim != 2 or e.shape[0] != e.shape[1]:
         raise ValueError(f"matrix must be square, got shape {e.shape}")
     if e.shape[0] != n:
         raise ValueError("n does not match matrix shape")
-    if not np.all(np.isfinite(e)):
+    if not np.isfinite(e).all():
         raise ValueError("entries must be finite")
-    e = _flush_tiny(e)
-    if np.any(e < 0):
+    e = e.copy()  # C order, whatever the input's layout
+    e[np.abs(e) < ENTRY_FLUSH] = 0.0
+    if (e < 0).any():
         raise ValueError("entries must be nonnegative")
     return e
 
 
-def _force_exact_row_sums(entries: np.ndarray) -> np.ndarray:
-    """Divide each row by its sum, then nudge one entry until the float row
-    sum is exactly 1.0.  Feedback on a single entry can oscillate around 1
-    when the final rounding step straddles it, so after a few tries the
-    nudged position rotates to the next-largest entry, whose different
-    magnitude gives a different rounding granularity."""
-    out = entries.copy()
-    for i in range(out.shape[0]):
-        s = float(out[i].sum())
-        if s != 1.0:
-            out[i] = out[i] / s
-        order = np.argsort(out[i])[::-1]
-        done = False
-        for j in order:
-            for _ in range(8):
-                s = float(out[i].sum())
-                if s == 1.0:
-                    done = True
-                    break
-                out[i][int(j)] += 1.0 - s
-            if done:
-                break
-        if not done and float(out[i].sum()) != 1.0:
+def _force_exact_row_sums(e: np.ndarray, sums: np.ndarray) -> None:
+    """In place: divide each row whose float sum ``sums[i]`` is not exactly
+    1.0 by that sum, then nudge the rows still off 1.0."""
+    rows = (sums != 1.0).nonzero()[0]
+    if not rows.size:
+        return
+    e[rows] /= sums[rows, None]
+    for i in rows[e[rows].sum(axis=1) != 1.0]:
+        if not _nudge_to_unit_sum(e[i]):
             raise RuntimeError(f"row {i} cannot be compensated to an exact unit sum")
-    return out
+
+
+def _nudge_to_unit_sum(row: np.ndarray) -> bool:
+    """Add 1 - sum to one entry until the float sum is exactly 1.0.
+    Feedback on a single entry can oscillate around 1 when the final
+    rounding step straddles it, so after a few tries the nudged position
+    rotates to the next-largest entry, whose different magnitude gives a
+    different rounding granularity."""
+    for j in np.argsort(row)[::-1]:
+        for _ in range(8):
+            s = float(row.sum())
+            if s == 1.0:
+                return True
+            row[j] += 1.0 - s
+    return float(row.sum()) == 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,12 +92,13 @@ class RowStochasticMatrix:
     def __post_init__(self) -> None:
         e = _checked_entries(self.n, self.entries)
         sums = e.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
-            bad = int(np.argmax(np.abs(sums - 1.0)))
+        off = np.abs(sums - 1.0)
+        if (off > ROW_SUM_TOL).any():
+            bad = int(np.argmax(off))
             raise ValueError(
                 f"row {bad} sums to {sums[bad]!r}, outside 1 +/- {ROW_SUM_TOL}"
             )
-        e = _force_exact_row_sums(e)
+        _force_exact_row_sums(e, sums)
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
@@ -135,17 +131,13 @@ class SubstochasticMatrix:
     def __post_init__(self) -> None:
         e = _checked_entries(self.n, self.entries)
         sums = e.sum(axis=1)
-        if np.any(sums > 1.0 + ROW_SUM_TOL):
+        if (sums > 1.0 + ROW_SUM_TOL).any():
             bad = int(np.argmax(sums))
             raise ValueError(f"row {bad} sums to {sums[bad]!r}, above 1 + {ROW_SUM_TOL}")
-        e = e.copy()
-        for i in range(self.n):
-            s = float(e[i].sum())
-            if 1.0 < s:
-                e[i] = e[i] / s
-        deficient = frozenset(
-            int(i) for i in range(self.n) if float(e[i].sum()) < 1.0 - ROW_SUM_TOL
-        )
+        over = (sums > 1.0).nonzero()[0]
+        e[over] /= sums[over, None]
+        # rows scaled down sum to 1 and are not deficient either way
+        deficient = frozenset((sums < 1.0 - ROW_SUM_TOL).nonzero()[0].tolist())
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
         object.__setattr__(self, "deficiency_set", deficient)

@@ -1,0 +1,360 @@
+"""The block-drawn, preallocated engine and the row-vectorized matrix
+validation, against the per-step and per-row code they replaced (kept here
+as reference oracles).  Every comparison is bitwise."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from raikit import (
+    DelaySpec,
+    DisturbancePolicy,
+    MatrixSequence,
+    RowStochasticMatrix,
+    SubstochasticMatrix,
+    run_delayed_rai,
+    run_rai,
+)
+from raikit.engine import _stack
+from raikit.tolerances import ENTRY_FLUSH, FEAS_TOL, ROW_SUM_TOL
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: one emitter call, one disturbance check and one list
+# append per step; one Python pass per matrix row.
+
+
+def _reference_emitter(policy, n):
+    if policy.kind == "zero":
+        z = np.zeros(n)
+        return lambda k: z
+    if policy.kind == "vanishing_random":
+        rng = np.random.default_rng(policy.seed)
+        scale, decay = policy.scale, policy.decay
+        return lambda k: scale * decay**k * rng.random(n)
+    if policy.kind == "constant_random":
+        rng = np.random.default_rng(policy.seed)
+        scale = policy.scale
+        return lambda k: scale * rng.random(n)
+    table = [np.array(row, dtype=float) for row in policy.replay]
+    for row in table:
+        if row.shape != (n,):
+            raise ValueError("replay rows do not match the state dimension")
+    return lambda k: table[k % len(table)]
+
+
+def _reference_finish(states, residuals, window_max=None):
+    S = np.array(states, dtype=float)
+    R = np.array(residuals, dtype=float) if residuals else np.zeros((0, S.shape[1]))
+    W = None if window_max is None else np.array(window_max, dtype=float)
+    return S, R, W
+
+
+def _reference_run_rai(seq, x0, policy, steps):
+    x = np.asarray(x0, dtype=float).copy()
+    emit = _reference_emitter(policy, seq.n)
+    states = [x]
+    residuals = []
+    for k in range(steps):
+        wx = seq.matrix(k).entries @ x
+        delta = emit(k)
+        if np.any(delta < 0):
+            raise ValueError(f"disturbance at step {k} has a negative entry")
+        x = wx - delta
+        states.append(x)
+        residuals.append(delta)
+    return _reference_finish(states, residuals)
+
+
+def _reference_run_delayed_rai(seq, delays, history, policy, steps):
+    n = seq.n
+    ds = delays.d_star
+    hist = [np.asarray(h, dtype=float) for h in history]
+    y = np.concatenate(hist[::-1])
+    emit = _reference_emitter(policy, n)
+    stacked_cache = {}
+    states = [y[:n].copy()]
+    residuals = []
+    window_max = [float(y.max())]
+    for k in range(steps):
+        W = seq.matrix(k)
+        table = delays.table(k)
+        key = (id(W), table.tobytes())
+        Xi = stacked_cache.get(key)
+        if Xi is None:
+            Xi = _stack(W, table, ds)
+            stacked_cache[key] = Xi
+        y_next = Xi.entries @ y
+        delta = emit(k)
+        if np.any(delta < 0):
+            raise ValueError(f"disturbance at step {k} has a negative entry")
+        y_next[:n] = y_next[:n] - delta
+        wm = float(y_next.max())
+        prev = window_max[-1]
+        if wm > prev + FEAS_TOL * max(1.0, abs(prev)):
+            raise RuntimeError(f"delay-window max increased at step {k}: {prev!r} -> {wm!r}")
+        y = y_next
+        states.append(y[:n].copy())
+        residuals.append(delta)
+        window_max.append(wm)
+    return _reference_finish(states, residuals, window_max)
+
+
+def _reference_force_exact_row_sums(entries, rotated=None):
+    """Per-row divide and nudge; appends to ``rotated`` each row whose nudge
+    moved past its largest entry."""
+    out = entries.copy()
+    for i in range(out.shape[0]):
+        s = float(out[i].sum())
+        if s != 1.0:
+            out[i] = out[i] / s
+        order = np.argsort(out[i])[::-1]
+        done = False
+        for rank, j in enumerate(order):
+            for _ in range(8):
+                s = float(out[i].sum())
+                if s == 1.0:
+                    done = True
+                    break
+                out[i][int(j)] += 1.0 - s
+            if done:
+                if rank > 0 and rotated is not None:
+                    rotated.append(i)
+                break
+        if not done and float(out[i].sum()) != 1.0:
+            raise RuntimeError(f"row {i} cannot be compensated to an exact unit sum")
+    return out
+
+
+def _reference_flush(entries):
+    out = np.asarray(entries, dtype=float).copy()
+    out[np.abs(out) < ENTRY_FLUSH] = 0.0
+    return out
+
+
+def _reference_row_stochastic(entries):
+    return _reference_force_exact_row_sums(_reference_flush(entries))
+
+
+def _reference_substochastic(entries):
+    e = _reference_flush(entries)
+    n = e.shape[0]
+    for i in range(n):
+        s = float(e[i].sum())
+        if 1.0 < s:
+            e[i] = e[i] / s
+    deficient = frozenset(int(i) for i in range(n) if float(e[i].sum()) < 1.0 - ROW_SUM_TOL)
+    return e, deficient
+
+
+# ---------------------------------------------------------------------------
+# Generated inputs.
+
+
+def _random_rows(rng, n, kind):
+    """n x n nonnegative rows of one of four shapes, each row nonzero."""
+    if kind == "hk":  # hk_weights-style: 1/|N| on a neighbor set with the diagonal
+        raw = (rng.random((n, n)) < rng.random()).astype(float)
+        np.fill_diagonal(raw, 1.0)
+        return raw
+    raw = rng.random((n, n))
+    if kind == "sparse":
+        raw *= rng.random((n, n)) < 0.4
+    elif kind == "skewed":
+        raw **= 8
+    empty = ~raw.any(axis=1)
+    raw[empty, rng.integers(0, n, int(empty.sum()))] = 1.0
+    return raw
+
+
+def _stochastic(rng, n, kind):
+    raw = _random_rows(rng, n, kind)
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def _sequences(draw, max_n=8, max_steps=300):
+    n = draw(st.integers(1, max_n))
+    steps = draw(st.integers(0, max_steps))
+    storage = draw(st.sampled_from(["periodic", "finite", "generator"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["dense", "sparse", "skewed", "hk"]))
+    period = draw(st.integers(1, 5))
+    count = max(steps, 1) if storage == "finite" else period
+    mats = [_stochastic(rng, n, kind) for _ in range(count)]
+    if storage == "periodic":
+        seq = MatrixSequence.explicit(mats, period=period)
+    elif storage == "finite":
+        seq = MatrixSequence.explicit(mats)
+    else:
+        seq = MatrixSequence.from_generator(lambda k: mats[k % period], n)
+    return seq, steps, rng
+
+
+@st.composite
+def _policies(draw, n):
+    kind = draw(st.sampled_from(["zero", "vanishing_random", "constant_random", "adversarial_replay"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = draw(st.floats(0.0, 10.0))
+    if kind == "zero":
+        return DisturbancePolicy.zero()
+    if kind == "vanishing_random":
+        decay = draw(st.floats(0.01, 0.999))
+        return DisturbancePolicy.vanishing_random(scale, decay, seed=seed)
+    if kind == "constant_random":
+        return DisturbancePolicy.constant_random(scale, seed=seed)
+    rows = draw(st.integers(1, 5))
+    entries = st.floats(0.0, 5.0)
+    table = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=rows, max_size=rows))
+    return DisturbancePolicy.adversarial_replay(table)
+
+
+def _assert_same(traj, ref):
+    S, R, W = ref
+    assert traj.states.shape == S.shape and traj.states.tobytes() == S.tobytes()
+    assert traj.residuals.shape == R.shape and traj.residuals.tobytes() == R.tobytes()
+    if W is None:
+        assert traj.window_max is None
+    else:
+        assert traj.window_max.shape == W.shape and traj.window_max.tobytes() == W.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Engine against the per-step loops.
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_run_rai_matches_per_step_loop(data):
+    seq, steps, rng = data.draw(_sequences())
+    policy = data.draw(_policies(seq.n))
+    x0 = rng.uniform(-5.0, 5.0, seq.n)
+    _assert_same(run_rai(seq, x0, policy, steps), _reference_run_rai(seq, x0, policy, steps))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_run_delayed_rai_matches_per_step_loop(data):
+    seq, steps, rng = data.draw(_sequences(max_n=5, max_steps=150))
+    n = seq.n
+    d_star = data.draw(st.integers(0, 2))
+    policy = data.draw(_policies(n))
+    tables = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        t = rng.integers(0, d_star + 1, (n, n))
+        np.fill_diagonal(t, 0)
+        tables.append(t)
+    how = data.draw(st.sampled_from(["constant", "periodic", "function"]))
+    if how == "constant":
+        delays = DelaySpec.constant(tables[0], d_star=d_star)
+    elif how == "periodic":
+        delays = DelaySpec.periodic(tables, d_star=d_star)
+    else:
+        delays = DelaySpec.from_function(lambda k: tables[k % len(tables)], d_star)
+    history = [rng.uniform(-5.0, 5.0, n) for _ in range(d_star + 1)]
+    traj = run_delayed_rai(seq, delays, history, policy, steps)
+    _assert_same(traj, _reference_run_delayed_rai(seq, delays, history, policy, steps))
+
+
+def test_block_draw_equals_per_step_draws():
+    for n, steps in ((1, 0), (3, 1), (4, 257), (7, 1000)):
+        per_step = np.random.default_rng(5)
+        rows = [per_step.random(n) for _ in range(steps)]
+        block = np.random.default_rng(5).random((steps, n))
+        assert block.tobytes() == np.array(rows, dtype=float).reshape(steps, n).tobytes()
+
+
+def test_vectorized_decay_powers_differ_from_scalar_powers():
+    """Why the vanishing factors are built with Python's scalar power."""
+    decay, steps = 0.999, 1000
+    scalar = np.array([decay**k for k in range(steps)])
+    assert not np.array_equal(decay ** np.arange(steps), scalar)
+    policy = DisturbancePolicy.vanishing_random(1.0, decay, seed=3)
+    uniform = np.random.default_rng(3).random((steps, 2))
+    assert np.array_equal(policy.draw(2, steps), scalar[:, None] * uniform)
+
+
+def test_block_check_names_first_bad_step():
+    bad = DisturbancePolicy(kind="adversarial_replay", replay=((0.0, 0.0), (0.0, -1.0)))
+    with pytest.raises(ValueError, match="^disturbance at step 1 has a negative entry$"):
+        bad.draw(2, 5)
+    with pytest.raises(ValueError, match="^disturbance at step 1 has a negative entry$"):
+        run_rai(MatrixSequence.constant(np.eye(2)), np.zeros(2), bad, 5)
+    assert bad.draw(2, 1).shape == (1, 2)  # the bad row is never reached
+    inf = DisturbancePolicy(kind="constant_random", scale=float("inf"))
+    with pytest.raises(ValueError, match="^disturbance at step 0 has a non-finite entry$"):
+        inf.draw(3, 4)
+    with pytest.raises(ValueError, match="replay rows do not match"):
+        DisturbancePolicy.adversarial_replay([[0.0, 1.0]]).draw(3, 0)
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_scale_rejected_at_construction(scale):
+    with pytest.raises(ValueError, match="finite"):
+        DisturbancePolicy.vanishing_random(scale, 0.9)
+    with pytest.raises(ValueError, match="finite"):
+        DisturbancePolicy.constant_random(scale)
+    with pytest.raises(ValueError, match="finite"):
+        DisturbancePolicy.from_json_obj({"kind": "constant_random", "scale": scale})
+
+
+# ---------------------------------------------------------------------------
+# Matrix validation against the per-row loops.
+
+
+@st.composite
+def _matrices(draw, max_n=64):
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["dense", "sparse", "skewed", "hk"]))
+    e = _stochastic(rng, n, kind)
+    # perturb some rows within the row-sum tolerance, and put tiny entries
+    # that the flush removes into some zeros
+    jitter = rng.uniform(-0.9, 0.9, n) * ROW_SUM_TOL * (rng.random(n) < 0.3)
+    e = e * (1.0 + jitter)[:, None]
+    e[(e == 0.0) & (rng.random((n, n)) < 0.3)] = ENTRY_FLUSH * rng.random()
+    return e
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=_matrices())
+def test_row_stochastic_validation_matches_per_row_loop(e):
+    got = RowStochasticMatrix(n=e.shape[0], entries=e).entries
+    want = _reference_row_stochastic(e)
+    assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+
+def test_row_validation_covers_the_rotation_step():
+    rng = np.random.default_rng(1)
+    rotated = []
+    for _ in range(20):
+        e = _stochastic(rng, 43, "dense")
+        _reference_force_exact_row_sums(e, rotated)
+        if rotated:
+            break
+    assert rotated
+    assert RowStochasticMatrix(n=43, entries=e).entries.tobytes() == _reference_row_stochastic(e).tobytes()
+
+
+def test_row_validation_of_a_fortran_ordered_input():
+    e = np.asfortranarray(_stochastic(np.random.default_rng(4), 33, "dense"))
+    got = RowStochasticMatrix(n=33, entries=e).entries
+    assert got.flags.c_contiguous
+    assert got.tobytes() == _reference_row_stochastic(np.ascontiguousarray(e)).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_substochastic_validation_matches_per_row_loop(data):
+    n = data.draw(st.integers(1, 64))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    raw = _random_rows(rng, n, data.draw(st.sampled_from(["dense", "sparse", "skewed", "hk"])))
+    # row sums spread over [0, 1 + ROW_SUM_TOL]: deficient, exact, and
+    # slightly above 1 (scaled down)
+    target = rng.choice([0.3, 1.0 - 2 * ROW_SUM_TOL, 1.0, 1.0 + 0.5 * ROW_SUM_TOL], n)
+    e = raw / raw.sum(axis=1, keepdims=True) * target[:, None]
+    A = SubstochasticMatrix(n=n, entries=e)
+    want, deficient = _reference_substochastic(e)
+    assert A.entries.tobytes() == want.tobytes()
+    assert A.deficiency_set == deficient

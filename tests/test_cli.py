@@ -6,8 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from raikit import WeightedDigraph, strong_components
 from raikit.cli import SCHEMA_VERSION, list_bundled, main, run_scenario
 
 BUNDLED = [
@@ -268,3 +270,41 @@ def test_trajectory_shorter_than_tail_window_exit_two(tmp_path, capsys):
     assert err.startswith("error: validation: trajectory too short to classify")
     assert err.count("\n") == 1
     assert not (tmp_path / "short.verdict.json").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("vanishing_random", "need a finite scale >= 0 and 0 < decay < 1"),
+        ("constant_random", "scale must be a finite number >= 0"),
+    ],
+)
+def test_nan_disturbance_scale_exit_two(tmp_path, capsys, kind, message):
+    """Rejected when the policy is built, not blamed on the state later."""
+    sc = _rai_scenario(name="nan_scale")
+    sc["parameters"]["policy"] = {"kind": kind, "scale": float("nan"), "decay": 0.9}
+    ref = _write(tmp_path, sc)
+    assert '"scale": NaN' in Path(ref).read_text()
+    assert main(["--out-dir", str(tmp_path), "simulate", ref]) == 2
+    assert capsys.readouterr().err == f"error: validation: {message}\n"
+    assert not (tmp_path / "nan_scale.verdict.json").exists()
+
+
+def test_analyze_graph_components_are_sorted(tmp_path):
+    """Nodes 1 and 8 form the only nontrivial component; each component is
+    written sorted, in the order classification and aperiodic_components use."""
+    w = [[0.0] * 9 for _ in range(9)]
+    w[1][8] = w[8][1] = 1.0
+    sc = {
+        "schema_version": SCHEMA_VERSION,
+        "name": "pair",
+        "kind": "analyze_graph",
+        "parameters": {"graph": {"n": 9, "weights": w}},
+    }
+    ref = _write(tmp_path, sc)
+    assert main(["--out-dir", str(tmp_path), "analyze", ref]) == 0
+    v = json.loads((tmp_path / "pair.verdict.json").read_text())
+    assert v["components"] == [[0], [1, 8], [2], [3], [4], [5], [6], [7]]
+    dec = strong_components(WeightedDigraph(n=9, weights=np.array(w)))
+    assert v["components"] == [sorted(c) for c in dec.components]
+    assert len(v["classification"]) == len(v["aperiodic_components"]) == 8
