@@ -7,154 +7,20 @@ bounded-confidence and signed opinion models, and multi-agent
 constrained fixed-point solvers.
 """
 
-from .engine import (
-    AgentStatus,
-    ConvergenceVerdict,
-    DelaySpec,
-    DisturbancePolicy,
-    Trajectory,
-    classify,
-    exp_product_bound,
-    flow_contraction_bound,
-    flow_contraction_bound_delayed,
-    run_degroot,
-    run_delayed_rai,
-    run_rai,
-    sorted_transform,
-    xiao_stack,
-)
-from .graphs import (
-    Cut,
-    CutBalanceCertificate,
-    SccDecomposition,
-    WeightedDigraph,
-    all_cuts,
-    cut_balance_certificate,
-    cut_flow,
-    graph_from_edgelist,
-    graph_from_json,
-    graph_to_edgelist,
-    graph_to_json,
-    is_aperiodic,
-    strong_components,
-)
-from .matrices import (
-    RowStochasticMatrix,
-    SiaVerdict,
-    StabilityVerdict,
-    SubstochasticMatrix,
-    check_sia,
-    is_primitive,
-    schur_stability_by_reachability,
-    spectral_radius,
-    stochastic_completion,
-)
-from .opinions import (
-    ClusterReport,
-    HkConfig,
-    ModulusConsensusVerdict,
-    SignedMatrixSequence,
-    StructuralBalanceReport,
-    hk_weights,
-    modulus_consensus_verdict,
-    recover_structural_balance,
-    run_altafini,
-    run_hk,
-)
-from .sequences import (
-    ArcBalanceReport,
-    MatrixSequence,
-    PersistentGraphEstimate,
-    ReciprocityReport,
-    UniformCutBalanceReport,
-    arc_count,
-    check_arc_balance,
-    check_reciprocity,
-    check_uniform_cut_balance,
-    gossip_sequence,
-    persistent_graph,
-)
-from .solvers import (
-    ALGORITHMS,
-    AuditReport,
-    ConvexProjector,
-    MultiAgentProblem,
-    Paracontraction,
-    SolveResult,
-    paracontraction_audit,
-    project,
-    solve,
-    step,
-)
+from . import engine, graphs, matrices, opinions, sequences, solvers
+from .engine import *  # noqa: F401,F403
+from .graphs import *  # noqa: F401,F403
+from .matrices import *  # noqa: F401,F403
+from .opinions import *  # noqa: F401,F403
+from .sequences import *  # noqa: F401,F403
+from .solvers import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
+# Each module's __all__ is what the package exports; helpers that modules
+# share with one another stay out of it.
 __all__ = [
-    "AgentStatus",
-    "ALGORITHMS",
-    "ArcBalanceReport",
-    "AuditReport",
-    "ClusterReport",
-    "ConvergenceVerdict",
-    "ConvexProjector",
-    "Cut",
-    "CutBalanceCertificate",
-    "DelaySpec",
-    "DisturbancePolicy",
-    "HkConfig",
-    "MatrixSequence",
-    "ModulusConsensusVerdict",
-    "MultiAgentProblem",
-    "Paracontraction",
-    "PersistentGraphEstimate",
-    "ReciprocityReport",
-    "RowStochasticMatrix",
-    "SccDecomposition",
-    "SiaVerdict",
-    "SignedMatrixSequence",
-    "SolveResult",
-    "StabilityVerdict",
-    "StructuralBalanceReport",
-    "SubstochasticMatrix",
-    "Trajectory",
-    "UniformCutBalanceReport",
-    "WeightedDigraph",
-    "all_cuts",
-    "arc_count",
-    "check_arc_balance",
-    "check_reciprocity",
-    "check_sia",
-    "check_uniform_cut_balance",
-    "classify",
-    "cut_balance_certificate",
-    "cut_flow",
-    "exp_product_bound",
-    "flow_contraction_bound",
-    "flow_contraction_bound_delayed",
-    "gossip_sequence",
-    "graph_from_edgelist",
-    "graph_from_json",
-    "graph_to_edgelist",
-    "graph_to_json",
-    "hk_weights",
-    "is_aperiodic",
-    "is_primitive",
-    "modulus_consensus_verdict",
-    "paracontraction_audit",
-    "persistent_graph",
-    "project",
-    "recover_structural_balance",
-    "run_altafini",
-    "run_degroot",
-    "run_delayed_rai",
-    "run_hk",
-    "run_rai",
-    "schur_stability_by_reachability",
-    "solve",
-    "sorted_transform",
-    "spectral_radius",
-    "step",
-    "stochastic_completion",
-    "strong_components",
-    "xiao_stack",
+    name
+    for module in (engine, graphs, matrices, opinions, sequences, solvers)
+    for name in module.__all__
 ]

@@ -48,9 +48,10 @@ from .opinions import (
 )
 from .sequences import (
     MatrixSequence,
-    check_arc_balance,
+    _arc_balance,
+    _uniform_cut_balance,
+    _window_sums,
     check_reciprocity,
-    check_uniform_cut_balance,
     gossip_sequence,
     persistent_graph,
 )
@@ -207,12 +208,14 @@ def _run_check_sequence(params: dict, seed: int) -> tuple[dict, int, dict]:
     T = int(params.get("T", 0))
     L = int(params.get("L", 0))
     pg = persistent_graph(seq)
+    reciprocity = check_reciprocity(seq, M, T)
+    sums, exact = _window_sums(seq, L)  # shared by both balance checks
     verdict = {
         "persistent_arcs": json_form(pg.graph.arc_set()),
         "persistent_exact": pg.exact,
-        "reciprocity": check_reciprocity(seq, M, T).to_json_obj(),
-        "uniform_cut_balance": check_uniform_cut_balance(seq, L).to_json_obj(),
-        "arc_balance": check_arc_balance(seq, L).to_json_obj(),
+        "reciprocity": reciprocity.to_json_obj(),
+        "uniform_cut_balance": _uniform_cut_balance(seq.n, sums, exact).to_json_obj(),
+        "arc_balance": _arc_balance(pg.graph, sums, exact).to_json_obj(),
     }
     return verdict, 0, {}
 

@@ -168,6 +168,10 @@ class DisturbancePolicy:
     replay: tuple = ()
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.kind == "adversarial_replay" and not self.replay:
+            raise ValueError("replay table must be nonempty")
+
     @classmethod
     def zero(cls) -> "DisturbancePolicy":
         return cls(kind="zero")
@@ -187,8 +191,6 @@ class DisturbancePolicy:
     @classmethod
     def adversarial_replay(cls, deltas: Iterable[Iterable[float]]) -> "DisturbancePolicy":
         table = tuple(tuple(float(v) for v in row) for row in deltas)
-        if not table:
-            raise ValueError("replay table must be nonempty")
         for row in table:
             for v in row:
                 if not np.isfinite(v) or v < 0:
@@ -374,14 +376,9 @@ def _stack(W: RowStochasticMatrix, delays: np.ndarray, d_star: int) -> RowStocha
         raise ValueError("diagonal delays must be zero")
     N = n * (d_star + 1)
     Xi = np.zeros((N, N))
-    for i in range(n):
-        for j in range(n):
-            w = W.entries[i, j]
-            if w != 0.0:
-                Xi[i, int(delays[i, j]) * n + j] = w
-    for r in range(1, d_star + 1):
-        for i in range(n):
-            Xi[r * n + i, (r - 1) * n + i] = 1.0
+    # w_ij goes to column d_ij * n + j: distinct columns within a row
+    Xi[np.arange(n)[:, None], delays * n + np.arange(n)] = W.entries
+    Xi[np.arange(n, N), np.arange(N - n)] = 1.0  # shift history down one block
     return RowStochasticMatrix(n=N, entries=Xi)
 
 

@@ -26,16 +26,12 @@ import numpy as np
 from .tolerances import CUT_ENUMERATION_LIMIT
 
 __all__ = [
-    "Report",
-    "json_form",
-    "dump_json",
-    "fields_equal",
     "WeightedDigraph",
     "Cut",
     "SccDecomposition",
+    "CutBalanceCertificate",
     "strong_components",
     "is_aperiodic",
-    "reachable",
     "cut_flow",
     "cut_balance_certificate",
     "graph_to_json",
@@ -43,8 +39,6 @@ __all__ = [
     "graph_to_edgelist",
     "graph_from_edgelist",
     "all_cuts",
-    "cut_blocks",
-    "block_flows",
 ]
 
 

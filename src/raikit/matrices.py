@@ -5,6 +5,15 @@ Validation contract: entries with magnitude below ``ENTRY_FLUSH`` are flushed
 to exactly 0.0 once, so the zero/nonzero pattern (hence the induced graph) is
 deterministic; stochastic rows are then renormalized and compensated so each
 row sums to exactly 1.0 in floating point, which makes validation idempotent.
+
+A matrix is accepted in one pass: a flushed C-order copy, its smallest entry
+and its row sums.  No separate ``isfinite`` pass is needed: a NaN or a
+negative entry (-inf included) fails ``min >= 0``, and once every entry is
+nonnegative a +inf entry makes its row sum +inf, which fails the row-sum
+tolerance, so entries that pass both tests and have finite row sums are all
+finite.  Only a rejected matrix is diagnosed step by step, and the first
+failing check names the error, in this order: shape (square), n, finite,
+nonnegative, row sums.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ __all__ = [
     "RowStochasticMatrix",
     "SubstochasticMatrix",
     "SiaVerdict",
+    "StabilityVerdict",
     "check_sia",
     "is_primitive",
     "spectral_radius",
@@ -37,8 +47,9 @@ __all__ = [
 
 
 def _checked_entries(n: int, entries) -> np.ndarray:
-    """Validation shared by both matrix classes: a finite n x n array,
-    flushed into a new array, with no negative entry left."""
+    """Diagnosis of a matrix the accepting pass turned down, shared by both
+    classes: a finite n x n array, flushed into a new array, with no
+    negative entry left."""
     e = np.asarray(entries, dtype=float)
     if e.ndim != 2 or e.shape[0] != e.shape[1]:
         raise ValueError(f"matrix must be square, got shape {e.shape}")
@@ -53,16 +64,18 @@ def _checked_entries(n: int, entries) -> np.ndarray:
     return e
 
 
-def _force_exact_row_sums(e: np.ndarray, sums: np.ndarray) -> None:
-    """In place: divide each row whose float sum ``sums[i]`` is not exactly
-    1.0 by that sum, then nudge the rows still off 1.0."""
-    rows = (sums != 1.0).nonzero()[0]
-    if not rows.size:
-        return
-    e[rows] /= sums[rows, None]
-    for i in rows[e[rows].sum(axis=1) != 1.0]:
-        if not _nudge_to_unit_sum(e[i]):
-            raise RuntimeError(f"row {i} cannot be compensated to an exact unit sum")
+def _flushed(n: int, entries) -> tuple[np.ndarray | None, np.ndarray]:
+    """Accepting pass shared by both classes: a flushed C-order float copy
+    of an n x n matrix and its row sums, or None and no sums when the shape
+    is wrong or an entry is NaN or negative.  A +inf entry passes here and
+    shows as an infinite row sum, which the caller's tolerance rejects."""
+    e = np.array(entries, dtype=float, order="C")
+    if e.shape != (n, n):
+        return None, np.empty(0)
+    e[np.abs(e) < ENTRY_FLUSH] = 0.0
+    if not e.min(initial=0.0) >= 0.0:
+        return None, np.empty(0)
+    return e, e.sum(axis=1)
 
 
 def _nudge_to_unit_sum(row: np.ndarray) -> bool:
@@ -90,15 +103,26 @@ class RowStochasticMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        e = _checked_entries(self.n, self.entries)
-        sums = e.sum(axis=1)
-        off = np.abs(sums - 1.0)
-        if (off > ROW_SUM_TOL).any():
-            bad = int(np.argmax(off))
-            raise ValueError(
-                f"row {bad} sums to {sums[bad]!r}, outside 1 +/- {ROW_SUM_TOL}"
-            )
-        _force_exact_row_sums(e, sums)
+        e, sums = _flushed(self.n, self.entries)
+        off = []
+        for i, s in enumerate(sums.tolist()):
+            if not abs(s - 1.0) <= ROW_SUM_TOL:
+                e = None
+                break
+            if s != 1.0:
+                off.append(i)
+        if e is None:
+            e = _checked_entries(self.n, self.entries)
+            sums = e.sum(axis=1)
+            bad = int(np.argmax(np.abs(sums - 1.0)))
+            raise ValueError(f"row {bad} sums to {sums[bad]!r}, outside 1 +/- {ROW_SUM_TOL}")
+        if off:
+            # x / 1.0 is x, so the rows already exact keep their bits
+            e /= sums[:, None]
+            rows = np.array(off)
+            for i in rows[e[rows].sum(axis=1) != 1.0].tolist():
+                if not _nudge_to_unit_sum(e[i]):
+                    raise RuntimeError(f"row {i} cannot be compensated to an exact unit sum")
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
@@ -129,18 +153,27 @@ class SubstochasticMatrix:
     deficiency_set: frozenset[int] = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        e = _checked_entries(self.n, self.entries)
-        sums = e.sum(axis=1)
-        if (sums > 1.0 + ROW_SUM_TOL).any():
+        e, sums = _flushed(self.n, self.entries)
+        over, deficient = [], []
+        for i, s in enumerate(sums.tolist()):
+            if not s <= 1.0 + ROW_SUM_TOL:
+                e = None
+                break
+            if s > 1.0:
+                over.append(i)
+            elif s < 1.0 - ROW_SUM_TOL:
+                deficient.append(i)
+        if e is None:
+            e = _checked_entries(self.n, self.entries)
+            sums = e.sum(axis=1)
             bad = int(np.argmax(sums))
             raise ValueError(f"row {bad} sums to {sums[bad]!r}, above 1 + {ROW_SUM_TOL}")
-        over = (sums > 1.0).nonzero()[0]
-        e[over] /= sums[over, None]
-        # rows scaled down sum to 1 and are not deficient either way
-        deficient = frozenset((sums < 1.0 - ROW_SUM_TOL).nonzero()[0].tolist())
+        if over:
+            # rows scaled down sum to 1 and are not deficient either way
+            e[over] /= sums[over, None]
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
-        object.__setattr__(self, "deficiency_set", deficient)
+        object.__setattr__(self, "deficiency_set", frozenset(deficient))
 
     __eq__ = fields_equal
     __hash__ = None  # type: ignore[assignment]

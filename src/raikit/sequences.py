@@ -28,7 +28,6 @@ from .matrices import RowStochasticMatrix
 from .tolerances import DIVERGENCE_THRESHOLD
 
 __all__ = [
-    "IndexedSequence",
     "MatrixSequence",
     "PersistentGraphEstimate",
     "ReciprocityReport",
@@ -374,6 +373,8 @@ def _window_sums(seq: MatrixSequence, L: int) -> tuple[list[np.ndarray], bool]:
     """Entrywise sums over [k0, k0+L] for each window start k0 that matters,
     and whether those starts cover every case: exactly the starts below the
     period for periodic sequences, else the starts within the horizon."""
+    if L < 0:
+        raise ValueError("L must be >= 0")
     if seq.period > 0:
         k0_count, exact = seq.period, True
     else:
@@ -401,11 +402,12 @@ def check_uniform_cut_balance(seq: MatrixSequence, L: int) -> UniformCutBalanceR
     per-window constants, by blockwise enumeration of all cuts (O(2^n n^2)
     per window).  Above ``CUT_ENUMERATION_LIMIT`` nodes the verdict and
     witness are still decided and C is None."""
-    if L < 0:
-        raise ValueError("L must be >= 0")
-    sums, exact = _window_sums(seq, L)
+    return _uniform_cut_balance(seq.n, *_window_sums(seq, L))
+
+
+def _uniform_cut_balance(n: int, sums: list[np.ndarray], exact: bool) -> UniformCutBalanceReport:
     for k0, window in enumerate(sums):
-        cut = _unbalanced_cut(WeightedDigraph(n=seq.n, weights=window))
+        cut = _unbalanced_cut(WeightedDigraph(n=n, weights=window))
         if cut is not None:
             return UniformCutBalanceReport(holds=False, C=None, witness=(cut, k0), exact=exact)
     constants = [_cut_constant(window) for window in sums]
@@ -427,18 +429,14 @@ def check_arc_balance(seq: MatrixSequence, L: int) -> ArcBalanceReport:
     pinned by stochasticity, not by reciprocity; only inter-agent arcs
     carry balance information).  Fewer than two persistent arcs: holds
     with C=1."""
-    if L < 0:
-        raise ValueError("L must be >= 0")
-    pg = persistent_graph(seq)
-    arcs = [
-        (i, j)
-        for i in range(seq.n)
-        for j in range(seq.n)
-        if i != j and pg.graph.weights[i][j] > 0
-    ]
+    return _arc_balance(persistent_graph(seq).graph, *_window_sums(seq, L))
+
+
+def _arc_balance(persistent: WeightedDigraph, sums: list[np.ndarray], exact: bool) -> ArcBalanceReport:
+    n = persistent.n
+    arcs = [(i, j) for i in range(n) for j in range(n) if i != j and persistent.weights[i][j] > 0]
     if len(arcs) < 2:
-        return ArcBalanceReport(holds=True, C=1.0, exact=pg.exact)
-    sums, exact = _window_sums(seq, L)
+        return ArcBalanceReport(holds=True, C=1.0, exact=exact)
     best = 1.0
     for window in sums:
         vals = [float(window[i, j]) for (i, j) in arcs]

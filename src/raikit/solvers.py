@@ -23,6 +23,7 @@ from .sequences import MatrixSequence
 from .tolerances import FP_TOL, MAX_ITERS, SOLVER_TOL
 
 __all__ = [
+    "ALGORITHMS",
     "Paracontraction",
     "ConvexProjector",
     "MultiAgentProblem",

@@ -1,6 +1,7 @@
-"""The block-drawn, preallocated engine and the row-vectorized matrix
-validation, against the per-step and per-row code they replaced (kept here
-as reference oracles).  Every comparison is bitwise."""
+"""The block-drawn, preallocated engine and the one-pass matrix
+validation, against the per-step, per-row and step-by-step code they
+replaced (kept here as reference oracles).  Every comparison is bitwise,
+and a rejected input must give the same exception type and message."""
 
 import numpy as np
 import pytest
@@ -127,24 +128,44 @@ def _reference_force_exact_row_sums(entries, rotated=None):
     return out
 
 
-def _reference_flush(entries):
-    out = np.asarray(entries, dtype=float).copy()
+def _reference_checked(n, entries):
+    """The checks of a matrix in the order they are diagnosed: shape, n,
+    finite, then (after the flush) nonnegative."""
+    e = np.asarray(entries, dtype=float)
+    if e.ndim != 2 or e.shape[0] != e.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {e.shape}")
+    if e.shape[0] != n:
+        raise ValueError("n does not match matrix shape")
+    if not np.isfinite(e).all():
+        raise ValueError("entries must be finite")
+    out = e.copy()
     out[np.abs(out) < ENTRY_FLUSH] = 0.0
+    if (out < 0).any():
+        raise ValueError("entries must be nonnegative")
     return out
 
 
-def _reference_row_stochastic(entries):
-    return _reference_force_exact_row_sums(_reference_flush(entries))
+def _reference_row_stochastic(entries, n=None):
+    e = _reference_checked(len(entries) if n is None else n, entries)
+    sums = e.sum(axis=1)
+    off = np.abs(sums - 1.0)
+    if (off > ROW_SUM_TOL).any():
+        bad = int(np.argmax(off))
+        raise ValueError(f"row {bad} sums to {sums[bad]!r}, outside 1 +/- {ROW_SUM_TOL}")
+    return _reference_force_exact_row_sums(e)
 
 
-def _reference_substochastic(entries):
-    e = _reference_flush(entries)
-    n = e.shape[0]
-    for i in range(n):
+def _reference_substochastic(entries, n=None):
+    e = _reference_checked(len(entries) if n is None else n, entries)
+    sums = e.sum(axis=1)
+    if (sums > 1.0 + ROW_SUM_TOL).any():
+        bad = int(np.argmax(sums))
+        raise ValueError(f"row {bad} sums to {sums[bad]!r}, above 1 + {ROW_SUM_TOL}")
+    for i in range(e.shape[0]):
         s = float(e[i].sum())
         if 1.0 < s:
             e[i] = e[i] / s
-    deficient = frozenset(int(i) for i in range(n) if float(e[i].sum()) < 1.0 - ROW_SUM_TOL)
+    deficient = frozenset(int(i) for i in range(e.shape[0]) if float(e[i].sum()) < 1.0 - ROW_SUM_TOL)
     return e, deficient
 
 
@@ -358,3 +379,163 @@ def test_substochastic_validation_matches_per_row_loop(data):
     want, deficient = _reference_substochastic(e)
     assert A.entries.tobytes() == want.tobytes()
     assert A.deficiency_set == deficient
+
+
+# ---------------------------------------------------------------------------
+# The one-pass validation against the checks above, on accepted and on
+# rejected inputs: the same entries and deficiency sets bit for bit, or the
+# same exception type and message.
+
+_DEFECTS = ["nan", "+inf", "-inf", "negative", "overflow", "outside", "shape", "n"]
+
+
+def _outcome(build):
+    try:
+        with np.errstate(over="ignore"):  # the overflowing row sums
+            return build()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _same_outcome(got, want):
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+    else:
+        assert not (isinstance(got, tuple) and isinstance(got[0], type)), got
+        for g, w in zip(got, want):
+            if isinstance(w, np.ndarray):
+                assert g.flags.c_contiguous and g.tobytes() == w.tobytes()
+            else:
+                assert g == w
+
+
+@st.composite
+def _validation_inputs(draw, substochastic):
+    """(n, entries): a valid matrix of up to 64 rows, with up to two of
+    ``_DEFECTS`` applied; tiny entries of either sign and Fortran order
+    come with both."""
+    n = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    e = _random_rows(rng, n, draw(st.sampled_from(["dense", "sparse", "skewed", "hk"])))
+    if substochastic:
+        target = rng.choice([0.3, 1.0 - 2 * ROW_SUM_TOL, 1.0, 1.0 + 0.5 * ROW_SUM_TOL], n)
+    else:
+        target = 1.0 + rng.uniform(-0.9, 0.9, n) * ROW_SUM_TOL * (rng.random(n) < 0.3)
+    e = e / e.sum(axis=1, keepdims=True) * target[:, None]
+    tiny = (e == 0.0) & (rng.random((n, n)) < 0.3)
+    e[tiny] = ENTRY_FLUSH * rng.uniform(-1.0, 1.0, int(tiny.sum()))
+    if draw(st.booleans()):  # exactly at the flush threshold: kept
+        e[tiny & (rng.random((n, n)) < 0.2)] = ENTRY_FLUSH * draw(st.sampled_from([-1.0, 1.0]))
+    defects = draw(st.lists(st.sampled_from(_DEFECTS), max_size=2, unique=True))
+    for defect in defects:
+        _apply_defect(e, defect, rng, substochastic)
+    if "shape" in defects:
+        e = draw(st.sampled_from([e[:, :-1], e[0], e[None]]))
+    if draw(st.booleans()):
+        e = np.asfortranarray(e)
+    return n + ("n" in defects), e
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a row may carry two defects
+def _apply_defect(e, defect, rng, substochastic):
+    n = e.shape[0]
+    i, j = (int(v) for v in rng.integers(0, n, 2))
+    if defect == "nan":
+        e[i, j] = np.nan
+    elif defect == "+inf":
+        e[i, j] = np.inf
+    elif defect == "-inf":
+        e[i, j] = -np.inf
+    elif defect == "negative":
+        e[i, j] = -rng.uniform(10 * ENTRY_FLUSH, 1.0)
+    elif defect == "overflow":  # finite entries, infinite row sum
+        e[i, :] = 1.5e308 if n > 1 else 2.0
+    elif defect == "outside":  # just past the tolerance
+        past = 1.1 * ROW_SUM_TOL if substochastic or rng.random() < 0.5 else -1.1 * ROW_SUM_TOL
+        e[i] = e[i] / e[i].sum() * (1.0 + past)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inp=_validation_inputs(substochastic=False))
+def test_row_stochastic_one_pass_matches_the_checks_in_order(inp):
+    n, e = inp
+    got = _outcome(lambda: (RowStochasticMatrix(n=n, entries=e).entries,))
+    _same_outcome(got, _outcome(lambda: (_reference_row_stochastic(e, n),)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(inp=_validation_inputs(substochastic=True))
+def test_substochastic_one_pass_matches_the_checks_in_order(inp):
+    n, e = inp
+    A = _outcome(lambda: SubstochasticMatrix(n=n, entries=e))
+    got = A if isinstance(A, tuple) else (A.entries, A.deficiency_set)
+    _same_outcome(got, _outcome(lambda: _reference_substochastic(e, n)))
+
+
+def test_two_defects_report_the_first_check():
+    e = np.full((3, 3), 1 / 3)
+    e[0, 0], e[1, 1] = -0.5, np.nan
+    with pytest.raises(ValueError, match="^entries must be finite$"):
+        RowStochasticMatrix(n=3, entries=e)
+    with pytest.raises(ValueError, match="^n does not match matrix shape$"):
+        SubstochasticMatrix(n=4, entries=e)
+    e = np.full((3, 3), 1 / 3)
+    e[2, :2] = 1.5e308
+    e[0, 0] = -1.0
+    with pytest.raises(ValueError, match="^entries must be nonnegative$"):
+        RowStochasticMatrix(n=3, entries=e)
+    e[0, 0] = 1 / 3
+    with np.errstate(over="ignore"), pytest.raises(
+        ValueError, match=r"^row 2 sums to np.float64\(inf\), outside 1 \+/- 1e-09$"
+    ):
+        RowStochasticMatrix(n=3, entries=e)
+
+
+def test_uncompensable_row_is_reported(monkeypatch):
+    e = _stochastic(np.random.default_rng(1), 43, "dense")
+    divided = e / e.sum(axis=1, keepdims=True)
+    first = next(i for i in range(43) if float(divided[i].sum()) != 1.0)
+    monkeypatch.setattr("raikit.matrices._nudge_to_unit_sum", lambda row: False)
+    with pytest.raises(RuntimeError, match=f"^row {first} cannot be compensated to an exact unit sum$"):
+        RowStochasticMatrix(n=43, entries=e)
+
+
+def _reference_stack(W, delays, d_star):
+    n = W.n
+    N = n * (d_star + 1)
+    Xi = np.zeros((N, N))
+    for i in range(n):
+        for j in range(n):
+            w = W.entries[i, j]
+            if w != 0.0:
+                Xi[i, int(delays[i, j]) * n + j] = w
+    for r in range(1, d_star + 1):
+        for i in range(n):
+            Xi[r * n + i, (r - 1) * n + i] = 1.0
+    return RowStochasticMatrix(n=N, entries=Xi)
+
+
+def test_stack_scatter_matches_the_loop():
+    rng = np.random.default_rng(6)
+    for n in range(1, 7):
+        for d_star in range(4):
+            for _ in range(5):
+                raw = _random_rows(rng, n, "sparse")
+                np.fill_diagonal(raw, 1.0)
+                W = RowStochasticMatrix(n=n, entries=raw / raw.sum(axis=1, keepdims=True))
+                table = rng.integers(0, d_star + 1, (n, n))
+                np.fill_diagonal(table, 0)
+                got = _stack(W, table, d_star).entries
+                assert got.tobytes() == _reference_stack(W, table, d_star).entries.tobytes()
+
+
+def test_empty_replay_table_is_rejected():
+    with pytest.raises(ValueError, match="^replay table must be nonempty$"):
+        run_rai(
+            MatrixSequence.constant(np.eye(2)),
+            [0.0, 1.0],
+            DisturbancePolicy(kind="adversarial_replay", replay=()),
+            3,
+        )
+    with pytest.raises(ValueError, match="^replay table must be nonempty$"):
+        DisturbancePolicy.adversarial_replay([])

@@ -193,6 +193,13 @@ def test_arc_balance_examples():
     assert not bad.holds
 
 
+def test_balance_checks_reject_a_negative_window_length():
+    seq = MatrixSequence.constant(np.eye(3))
+    for check in (check_arc_balance, check_uniform_cut_balance):
+        with pytest.raises(ValueError, match="^L must be >= 0$"):
+            check(seq, -1)
+
+
 def test_arc_balance_geometric_gaps_fail():
     # full weight at powers of two keeps the gapped arc past the
     # persistence threshold inside the horizon, gaps still unbounded
