@@ -7,6 +7,11 @@ so the exact recursion is the zero-disturbance special case.  The delayed
 engine advances a stacked state vector through block companion matrices,
 which makes the no-delay and constant-delay reductions hold bitwise, not
 just approximately: see run_delayed_rai.
+
+Every engine, the signed and bounded-confidence runs of raikit.opinions
+included, computes x(k+1) from x(k) plus a per-step residual in the one
+step loop ``_iterate``, which fills one preallocated (steps+1, n) state
+array; ``_check_x0`` checks every initial and history vector.
 """
 
 from __future__ import annotations
@@ -127,26 +132,17 @@ class Trajectory(Report):
         return obj
 
 
-def _finish(states, residuals, window_max=None) -> Trajectory:
-    """Pack a run into a Trajectory; float arrays are taken without a copy.
+def _finish(states: np.ndarray, residuals: np.ndarray, window_max=None) -> Trajectory:
+    """Pack a run into a Trajectory; the arrays are taken without a copy.
     A non-finite state has no verdict and raises ValueError naming its
     first step; the row max and min propagate NaN and infinity, so checking
     those two vectors covers every entry."""
-    S = np.asarray(states, dtype=float)
-    R = np.asarray(residuals, dtype=float) if len(residuals) else np.zeros((0, S.shape[1]))
-    M = S.max(axis=1)
-    m = S.min(axis=1)
+    M = states.max(axis=1)
+    m = states.min(axis=1)
     finite = np.isfinite(M) & np.isfinite(m)
     if not finite.all():
         raise ValueError(f"state became non-finite at step {int(np.argmin(finite))}")
-    return Trajectory(
-        states=S,
-        residuals=R,
-        M=M,
-        m=m,
-        d=M - m,
-        window_max=None if window_max is None else np.asarray(window_max, dtype=float),
-    )
+    return Trajectory(states=states, residuals=residuals, M=M, m=m, d=M - m, window_max=window_max)
 
 
 @dataclass(frozen=True)
@@ -248,13 +244,28 @@ class DisturbancePolicy:
         return block
 
 
-def _check_x0(x0, n: int) -> np.ndarray:
+def _check_x0(x0, n: int | None, what: str = "initial vector") -> np.ndarray:
+    """``x0`` as a finite float vector of length n (any length if n is None)."""
     x = np.asarray(x0, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"initial vector must have shape ({n},), got {x.shape}")
+    if x.ndim != 1 or n is not None and x.shape != (n,):
+        raise ValueError(f"{what} must have shape ({'n' if n is None else n},), got {x.shape}")
     if not np.isfinite(x).all():
-        raise ValueError("initial vector must be finite")
+        raise ValueError(f"{what} must be finite")
     return x
+
+
+def _iterate(x: np.ndarray, residuals: np.ndarray, step) -> tuple[np.ndarray, np.ndarray]:
+    """The one step loop behind every engine.  ``residuals`` is the run's
+    (steps, n) residual array, drawn before the run or filled by ``step``.
+    ``step(k, x(k), out)`` writes x(k+1) into ``out``; a true return ends
+    the run after step k, and both arrays are then cut to the run's length
+    as copies, so no buffer for the steps not taken stays alive."""
+    states = np.empty((residuals.shape[0] + 1, x.shape[0]))
+    states[0] = x
+    for k in range(residuals.shape[0]):
+        if step(k, states[k], states[k + 1]):
+            return states[: k + 2].copy(), residuals[: k + 1].copy()
+    return states, residuals
 
 
 def run_rai(
@@ -263,17 +274,16 @@ def run_rai(
     """Run x(k+1) = W(k) x(k) - delta(k) for the given number of steps.
 
     The stored residuals are the drawn disturbances; with the zero policy
-    the result is bitwise identical to run_degroot.  States are written
-    into one preallocated (steps+1, n) array."""
+    the result is bitwise identical to run_degroot."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     x = _check_x0(x0, seq.n)
     deltas = policy.draw(seq.n, steps)
-    states = np.empty((steps + 1, seq.n))
-    states[0] = x
-    for k in range(steps):
-        np.subtract(seq.matrix(k).entries @ states[k], deltas[k], out=states[k + 1])
-    return _finish(states, deltas)
+
+    def step(k, x, out):
+        np.subtract(seq.matrix(k).entries @ x, deltas[k], out=out)
+
+    return _finish(*_iterate(x, deltas, step))
 
 
 def run_degroot(seq: MatrixSequence, x0, steps: int) -> Trajectory:
@@ -366,14 +376,12 @@ class DelaySpec:
 
 
 def _stack(W: RowStochasticMatrix, delays: np.ndarray, d_star: int) -> RowStochasticMatrix:
-    """Block companion matrix over the augmented state [x(k); ...; x(k-d_star)]."""
+    """Block companion matrix over the augmented state [x(k); ...; x(k-d_star)].
+    ``delays`` comes from a DelaySpec, which has checked its range and its
+    zero diagonal."""
     n = W.n
     if delays.shape != (n, n):
         raise ValueError("delay table does not match the matrix size")
-    if np.any(delays > d_star):
-        raise ValueError("a delay exceeds d_star")
-    if np.any(np.diag(delays) != 0):
-        raise ValueError("diagonal delays must be zero")
     N = n * (d_star + 1)
     Xi = np.zeros((N, N))
     # w_ij goes to column d_ij * n + j: distinct columns within a row
@@ -417,32 +425,26 @@ def run_delayed_rai(
         raise ValueError("steps must be >= 0")
     n = seq.n
     ds = delays.d_star
-    hist = [np.asarray(h, dtype=float) for h in history]
+    hist = list(history)
     if len(hist) != ds + 1:
         raise ValueError(
             f"history must hold exactly d_star+1 = {ds + 1} vectors, got {len(hist)}"
         )
-    for h in hist:
-        if h.shape != (n,):
-            raise ValueError("history vectors must have the state dimension")
-        if not np.all(np.isfinite(h)):
-            raise ValueError("history must be finite")
     # y = [x(0); x(-1); ...; x(-d_star)], newest first.
-    y = np.concatenate(hist[::-1])
+    y = np.concatenate([_check_x0(h, n, "history vector") for h in hist][::-1])
     deltas = policy.draw(n, steps)
     stacked_cache: dict = {}
-    states = np.empty((steps + 1, n))
     window_max = np.empty(steps + 1)
-    states[0] = y[:n]
     window_max[0] = y.max()
-    for k in range(steps):
+
+    def step(k, x, out):
+        nonlocal y
         W = seq.matrix(k)
         table = delays.table(k)
         key = (id(W), table.tobytes())
         Xi = stacked_cache.get(key)
         if Xi is None:
-            Xi = _stack(W, table, ds)
-            stacked_cache[key] = Xi
+            Xi = stacked_cache[key] = _stack(W, table, ds)
         y = Xi.entries @ y
         y[:n] -= deltas[k]
         wm = float(y.max())
@@ -451,9 +453,10 @@ def run_delayed_rai(
             raise RuntimeError(
                 f"delay-window max increased at step {k}: {prev!r} -> {wm!r}"
             )
-        states[k + 1] = y[:n]
+        out[:] = y[:n]
         window_max[k + 1] = wm
-    return _finish(states, deltas, window_max=window_max)
+
+    return _finish(*_iterate(y[:n], deltas, step), window_max=window_max)
 
 
 @dataclass(frozen=True)
@@ -556,7 +559,7 @@ def _windowed_inflow(
         if np.any(diag < eta):
             bad = int(np.argmin(diag))
             raise ValueError(
-                f"diagonal weight {diag[bad]!r} of agent {bad} at step {k} is below eta={eta}"
+                f"diagonal weight {float(diag[bad])!r} of agent {bad} at step {k} is below eta={eta}"
             )
     sub = np.ix_(Il, Jl)
     flow = 0.0
@@ -614,7 +617,8 @@ def sorted_transform(traj: Trajectory, seq: MatrixSequence):
         if np.any(lhs > rhs + slack):
             i = int(np.argmax(lhs - rhs))
             raise RuntimeError(
-                f"sorted inequality violated at step {k}, row {i}: {lhs[i]!r} > {rhs[i]!r}"
+                f"sorted inequality violated at step {k}, row {i}: "
+                f"{float(lhs[i])!r} > {float(rhs[i])!r}"
             )
         permuted.append(V)
     return sorted_states, permuted

@@ -75,7 +75,14 @@ def _flushed(n: int, entries) -> tuple[np.ndarray | None, np.ndarray]:
     e[np.abs(e) < ENTRY_FLUSH] = 0.0
     if not e.min(initial=0.0) >= 0.0:
         return None, np.empty(0)
-    return e, e.sum(axis=1)
+    return e, _row_sums(e)
+
+
+def _row_sums(e: np.ndarray) -> np.ndarray:
+    """Row sums of nonnegative entries; a finite row that overflows sums to
+    +inf, which the row-sum checks reject, so numpy need not warn."""
+    with np.errstate(over="ignore"):
+        return e.sum(axis=1)
 
 
 def _nudge_to_unit_sum(row: np.ndarray) -> bool:
@@ -113,9 +120,9 @@ class RowStochasticMatrix:
                 off.append(i)
         if e is None:
             e = _checked_entries(self.n, self.entries)
-            sums = e.sum(axis=1)
+            sums = _row_sums(e)
             bad = int(np.argmax(np.abs(sums - 1.0)))
-            raise ValueError(f"row {bad} sums to {sums[bad]!r}, outside 1 +/- {ROW_SUM_TOL}")
+            raise ValueError(f"row {bad} sums to {float(sums[bad])!r}, outside 1 +/- {ROW_SUM_TOL}")
         if off:
             # x / 1.0 is x, so the rows already exact keep their bits
             e /= sums[:, None]
@@ -165,9 +172,9 @@ class SubstochasticMatrix:
                 deficient.append(i)
         if e is None:
             e = _checked_entries(self.n, self.entries)
-            sums = e.sum(axis=1)
+            sums = _row_sums(e)
             bad = int(np.argmax(sums))
-            raise ValueError(f"row {bad} sums to {sums[bad]!r}, above 1 + {ROW_SUM_TOL}")
+            raise ValueError(f"row {bad} sums to {float(sums[bad])!r}, above 1 + {ROW_SUM_TOL}")
         if over:
             # rows scaled down sum to 1 and are not deficient either way
             e[over] /= sums[over, None]

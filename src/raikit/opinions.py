@@ -11,7 +11,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .engine import Trajectory, _finish
+from .engine import Trajectory, _check_x0, _finish, _iterate
 from .graphs import Report
 from .matrices import RowStochasticMatrix
 from .sequences import IndexedSequence, MatrixSequence
@@ -144,34 +144,22 @@ def run_hk(x0, cfg: HkConfig, max_steps: int) -> tuple[Trajectory, ClusterReport
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
-    x = np.asarray(x0, dtype=float).copy()
-    if x.ndim != 1:
-        raise ValueError("x0 must be a vector")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x0 must be finite")
-    n = x.shape[0]
-    a = cfg.awareness_vector(n)
+    x = _check_x0(x0, None)
+    a = cfg.awareness_vector(x.shape[0])
     keep = 1.0 - a
     pull = cfg.truth * a
-    states = [x]
-    residuals = []
-    terminated_at = None
-    for k in range(max_steps):
+    residuals = np.empty((max_steps, x.shape[0]))
+
+    def step(k, x, out):
         W = hk_weights(x, cfg.epsilon).entries
-        wx = W @ x
-        x_next = keep * wx + pull
-        xi = np.abs(x - cfg.truth)
-        xi_next = np.abs(x_next - cfg.truth)
-        residuals.append(W @ xi - xi_next)
-        states.append(x_next)
-        if np.array_equal(x_next, x):
-            terminated_at = k
-            x = x_next
-            break
-        x = x_next
-    return _finish(states, residuals), _cluster(
-        np.asarray(states[-1]), cfg.truth, np.array(states), terminated_at
-    )
+        np.add(keep * (W @ x), pull, out=out)
+        np.subtract(W @ np.abs(x - cfg.truth), np.abs(out - cfg.truth), out=residuals[k])
+        return np.array_equal(out, x)
+
+    traj = _finish(*_iterate(x, residuals, step))
+    S = traj.states
+    frozen = traj.steps > 0 and np.array_equal(S[-1], S[-2])
+    return traj, _cluster(S[-1], cfg.truth, S, traj.steps - 1 if frozen else None)
 
 
 def _coerce_signed(n: int, value) -> np.ndarray:
@@ -248,23 +236,19 @@ def run_altafini(seq: SignedMatrixSequence, x0, steps: int) -> Trajectory:
     is an internal error."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (seq.n,):
-        raise ValueError(f"x0 must have shape ({seq.n},)")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x0 must be finite")
-    states = [x]
-    residuals = []
-    for k in range(steps):
+    x = _check_x0(x0, seq.n)
+    residuals = np.empty((steps, seq.n))
+
+    def step(k, x, out):
         A = seq.matrix(k)
-        x_next = A @ x
-        delta = np.abs(A) @ np.abs(x) - np.abs(x_next)
-        if np.any(delta < -FEAS_TOL * np.maximum(1.0, np.abs(x).max())):
+        np.matmul(A, x, out=out)
+        mags = np.abs(x)
+        delta = residuals[k]
+        np.subtract(np.abs(A) @ mags, np.abs(out), out=delta)
+        if np.any(delta < -FEAS_TOL * np.maximum(1.0, mags.max())):
             raise RuntimeError(f"magnitude inequality violated at step {k}")
-        states.append(x_next)
-        residuals.append(delta)
-        x = x_next
-    return _finish(states, residuals)
+
+    return _finish(*_iterate(x, residuals, step))
 
 
 @dataclass(frozen=True)

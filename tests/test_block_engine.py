@@ -1,7 +1,10 @@
-"""The block-drawn, preallocated engine and the one-pass matrix
-validation, against the per-step, per-row and step-by-step code they
-replaced (kept here as reference oracles).  Every comparison is bitwise,
-and a rejected input must give the same exception type and message."""
+"""The one engine loop and the one-pass matrix validation, against the
+per-step, per-row and step-by-step code they replaced (kept here as
+reference oracles).  Every comparison is bitwise.  A rejected matrix must
+give the same exception type and message; a rejected engine input the same
+exception type."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -11,13 +14,19 @@ from hypothesis import strategies as st
 from raikit import (
     DelaySpec,
     DisturbancePolicy,
+    HkConfig,
     MatrixSequence,
     RowStochasticMatrix,
+    SignedMatrixSequence,
     SubstochasticMatrix,
+    hk_weights,
+    run_altafini,
     run_delayed_rai,
+    run_hk,
     run_rai,
 )
 from raikit.engine import _stack
+from raikit.opinions import _cluster
 from raikit.tolerances import ENTRY_FLUSH, FEAS_TOL, ROW_SUM_TOL
 
 
@@ -102,6 +111,59 @@ def _reference_run_delayed_rai(seq, delays, history, policy, steps):
     return _reference_finish(states, residuals, window_max)
 
 
+def _reference_run_hk(x0, cfg, max_steps):
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
+    x = np.asarray(x0, dtype=float).copy()
+    if x.ndim != 1:
+        raise ValueError("x0 must be a vector")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x0 must be finite")
+    n = x.shape[0]
+    a = cfg.awareness_vector(n)
+    keep = 1.0 - a
+    pull = cfg.truth * a
+    states = [x]
+    residuals = []
+    terminated_at = None
+    for k in range(max_steps):
+        W = hk_weights(x, cfg.epsilon).entries
+        wx = W @ x
+        x_next = keep * wx + pull
+        xi = np.abs(x - cfg.truth)
+        xi_next = np.abs(x_next - cfg.truth)
+        residuals.append(W @ xi - xi_next)
+        states.append(x_next)
+        if np.array_equal(x_next, x):
+            terminated_at = k
+            break
+        x = x_next
+    ref = _reference_finish(states, residuals)
+    return ref, _cluster(np.asarray(states[-1]), cfg.truth, ref[0], terminated_at)
+
+
+def _reference_run_altafini(seq, x0, steps):
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    x = np.asarray(x0, dtype=float).copy()
+    if x.shape != (seq.n,):
+        raise ValueError(f"x0 must have shape ({seq.n},)")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x0 must be finite")
+    states = [x]
+    residuals = []
+    for k in range(steps):
+        A = seq.matrix(k)
+        x_next = A @ x
+        delta = np.abs(A) @ np.abs(x) - np.abs(x_next)
+        if np.any(delta < -FEAS_TOL * np.maximum(1.0, np.abs(x).max())):
+            raise RuntimeError(f"magnitude inequality violated at step {k}")
+        states.append(x_next)
+        residuals.append(delta)
+        x = x_next
+    return _reference_finish(states, residuals)
+
+
 def _reference_force_exact_row_sums(entries, rotated=None):
     """Per-row divide and nudge; appends to ``rotated`` each row whose nudge
     moved past its largest entry."""
@@ -145,22 +207,24 @@ def _reference_checked(n, entries):
     return out
 
 
+@np.errstate(over="ignore")  # a finite row may sum to inf
 def _reference_row_stochastic(entries, n=None):
     e = _reference_checked(len(entries) if n is None else n, entries)
     sums = e.sum(axis=1)
     off = np.abs(sums - 1.0)
     if (off > ROW_SUM_TOL).any():
         bad = int(np.argmax(off))
-        raise ValueError(f"row {bad} sums to {sums[bad]!r}, outside 1 +/- {ROW_SUM_TOL}")
+        raise ValueError(f"row {bad} sums to {float(sums[bad])!r}, outside 1 +/- {ROW_SUM_TOL}")
     return _reference_force_exact_row_sums(e)
 
 
+@np.errstate(over="ignore")  # a finite row may sum to inf
 def _reference_substochastic(entries, n=None):
     e = _reference_checked(len(entries) if n is None else n, entries)
     sums = e.sum(axis=1)
     if (sums > 1.0 + ROW_SUM_TOL).any():
         bad = int(np.argmax(sums))
-        raise ValueError(f"row {bad} sums to {sums[bad]!r}, above 1 + {ROW_SUM_TOL}")
+        raise ValueError(f"row {bad} sums to {float(sums[bad])!r}, above 1 + {ROW_SUM_TOL}")
     for i in range(e.shape[0]):
         s = float(e[i].sum())
         if 1.0 < s:
@@ -278,6 +342,131 @@ def test_run_delayed_rai_matches_per_step_loop(data):
     _assert_same(traj, _reference_run_delayed_rai(seq, delays, history, policy, steps))
 
 
+@st.composite
+def _hk_inputs(draw):
+    """x0 spread wide or narrow (rounded for exact ties), epsilon, truth and
+    no awareness or a mix of 0, 1 and values between."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x0 = rng.uniform(-1.0, 1.0, n) * draw(st.sampled_from([1.0, 5.0, 20.0]))
+    if draw(st.booleans()):
+        x0 = np.round(x0)
+    awareness = ()
+    if draw(st.booleans()):
+        a = np.where(rng.random(n) < 0.2, 1.0, rng.random(n)) * (rng.random(n) < 0.6)
+        awareness = tuple(a.tolist())
+    cfg = HkConfig(
+        epsilon=draw(st.floats(0.05, 5.0)), truth=draw(st.floats(-5.0, 5.0)), awareness=awareness
+    )
+    return x0, cfg, draw(st.integers(0, 300))
+
+
+@settings(max_examples=150, deadline=None)
+@given(inp=_hk_inputs())
+def test_run_hk_matches_list_loop(inp):
+    x0, cfg, max_steps = inp
+    traj, report = run_hk(x0, cfg, max_steps)
+    ref, ref_report = _reference_run_hk(x0, cfg, max_steps)
+    _assert_same(traj, ref)
+    assert report == ref_report and report.to_json() == ref_report.to_json()
+
+
+@st.composite
+def _signed_sequences(draw):
+    """Constant or periodic signed sequences: random signs off the
+    diagonal on row-stochastic magnitudes of the four row shapes."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    negative = draw(st.floats(0.0, 1.0))
+    period = draw(st.integers(1, 4))
+    mats = []
+    for _ in range(period):
+        signs = np.where(rng.random((n, n)) < negative, -1.0, 1.0)
+        np.fill_diagonal(signs, 1.0)
+        mats.append(signs * _stochastic(rng, n, draw(st.sampled_from(["dense", "sparse", "skewed", "hk"]))))
+    if period == 1 and draw(st.booleans()):
+        seq = SignedMatrixSequence.constant(mats[0])
+    else:
+        seq = SignedMatrixSequence.explicit(mats, period=period)
+    return seq, rng.uniform(-5.0, 5.0, n), draw(st.integers(0, 200))
+
+
+@settings(max_examples=150, deadline=None)
+@given(inp=_signed_sequences())
+def test_run_altafini_matches_list_loop(inp):
+    seq, x0, steps = inp
+    _assert_same(run_altafini(seq, x0, steps), _reference_run_altafini(seq, x0, steps))
+
+
+def _raised(run):
+    try:
+        run()
+    except Exception as exc:  # noqa: BLE001 -- the type is what is compared
+        return type(exc)
+    return None
+
+
+_BAD_X0 = [np.zeros((2, 2)), 1.0, [0.0, np.nan, 1.0], [np.inf, 1.0, 0.0], [-np.inf, 0.0, 0.0],
+           [[1.0, 2.0, 3.0]], [1.0, 2.0], ["a", 0.0, 1.0]]
+
+
+@pytest.mark.parametrize("x0", _BAD_X0)
+def test_bad_initial_vectors_raise_the_reference_types(x0):
+    cfg = HkConfig(epsilon=1.0)
+    seq = SignedMatrixSequence.constant(np.array([[0.5, -0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    for max_steps in (5, -1):
+        # any length is a valid bounded-confidence state
+        want = _raised(lambda: _reference_run_hk(x0, cfg, max_steps))
+        assert _raised(lambda: run_hk(x0, cfg, max_steps)) is want
+        want = _raised(lambda: _reference_run_altafini(seq, x0, max_steps))
+        assert want is not None and _raised(lambda: run_altafini(seq, x0, max_steps)) is want
+
+
+def test_negative_steps_raise_the_reference_types():
+    x0 = [0.0, 1.0, 3.0]
+    seq = SignedMatrixSequence.constant(np.eye(3))
+    assert _raised(lambda: run_hk(x0, HkConfig(epsilon=1.0), -1)) is ValueError
+    assert _raised(lambda: _reference_run_hk(x0, HkConfig(epsilon=1.0), -1)) is ValueError
+    assert _raised(lambda: run_altafini(seq, x0, -1)) is ValueError
+    assert _raised(lambda: _reference_run_altafini(seq, x0, -1)) is ValueError
+    aware = HkConfig(epsilon=1.0, awareness=(0.5, 0.5))  # one entry short
+    assert _raised(lambda: run_hk(x0, aware, 3)) is _raised(lambda: _reference_run_hk(x0, aware, 3))
+
+
+def test_hk_run_that_freezes_early_owns_arrays_of_its_length():
+    x0 = [0.0, 0.4, 0.8, 1.2, 1.6, 4.0, 4.3, 4.6]
+    cfg = HkConfig(epsilon=0.5)
+    traj, report = run_hk(x0, cfg, 2000)
+    K = report.terminated_at
+    assert K is not None and K + 1 < 2000
+    assert traj.states.shape == (K + 2, 8) and traj.residuals.shape == (K + 1, 8)
+    for a in (traj.states, traj.residuals):
+        assert a.base is None and a.flags.owndata
+    # a freeze at the last allowed step is still reported; one step less is not
+    for max_steps, stop in ((K + 1, K), (K, None)):
+        traj, report = run_hk(x0, cfg, max_steps)
+        assert report.terminated_at == stop and traj.steps == max_steps
+        ref, ref_report = _reference_run_hk(x0, cfg, max_steps)
+        _assert_same(traj, ref)
+        assert report == ref_report
+
+
+def test_one_check_names_every_bad_initial_and_history_vector():
+    seq = MatrixSequence.constant(np.eye(2))
+    zero = DisturbancePolicy.zero()
+    with pytest.raises(ValueError, match=r"^initial vector must have shape \(2,\), got \(3,\)$"):
+        run_rai(seq, [0.0, 1.0, 2.0], zero, 1)
+    with pytest.raises(ValueError, match=r"^initial vector must be finite$"):
+        run_altafini(SignedMatrixSequence.constant(np.eye(2)), [0.0, np.nan], 1)
+    with pytest.raises(ValueError, match=r"^initial vector must have shape \(n,\), got \(2, 2\)$"):
+        run_hk(np.zeros((2, 2)), HkConfig(epsilon=1.0), 1)
+    delays = DelaySpec.constant(np.zeros((2, 2), dtype=int), d_star=1)
+    with pytest.raises(ValueError, match=r"^history vector must have shape \(2,\), got \(1,\)$"):
+        run_delayed_rai(seq, delays, [[0.0, 1.0], [0.0]], zero, 1)
+    with pytest.raises(ValueError, match=r"^history vector must be finite$"):
+        run_delayed_rai(seq, delays, [[0.0, np.inf], [0.0, 1.0]], zero, 1)
+
+
 def test_block_draw_equals_per_step_draws():
     for n, steps in ((1, 0), (3, 1), (4, 257), (7, 1000)):
         per_step = np.random.default_rng(5)
@@ -391,8 +580,7 @@ _DEFECTS = ["nan", "+inf", "-inf", "negative", "overflow", "outside", "shape", "
 
 def _outcome(build):
     try:
-        with np.errstate(over="ignore"):  # the overflowing row sums
-            return build()
+        return build()
     except (ValueError, RuntimeError) as exc:
         return type(exc), str(exc)
 
@@ -485,10 +673,19 @@ def test_two_defects_report_the_first_check():
     with pytest.raises(ValueError, match="^entries must be nonnegative$"):
         RowStochasticMatrix(n=3, entries=e)
     e[0, 0] = 1 / 3
-    with np.errstate(over="ignore"), pytest.raises(
-        ValueError, match=r"^row 2 sums to np.float64\(inf\), outside 1 \+/- 1e-09$"
-    ):
+    with pytest.raises(ValueError, match=r"^row 2 sums to inf, outside 1 \+/- 1e-09$"):
         RowStochasticMatrix(n=3, entries=e)
+
+
+def test_overflowing_row_sum_is_rejected_without_a_warning():
+    e = np.full((3, 3), 1 / 3)
+    e[2, :2] = 1.5e308  # finite entries, row sum inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^row 2 sums to inf, outside 1 \+/- 1e-09$"):
+            RowStochasticMatrix(n=3, entries=e)
+        with pytest.raises(ValueError, match=r"^row 2 sums to inf, above 1 \+ 1e-09$"):
+            SubstochasticMatrix(n=3, entries=e)
 
 
 def test_uncompensable_row_is_reported(monkeypatch):
