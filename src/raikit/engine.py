@@ -10,8 +10,9 @@ just approximately: see run_delayed_rai.
 
 Every engine, the signed and bounded-confidence runs of raikit.opinions
 included, computes x(k+1) from x(k) plus a per-step residual in the one
-step loop ``_iterate``, which fills one preallocated (steps+1, n) state
-array; ``_check_x0`` checks every initial and history vector.
+step loop ``_iterate``, which fills one (steps+1, n) state array,
+reserved up front for a fixed-length run and grown by doubling for a run
+that may end early; ``_check_x0`` checks every initial and history vector.
 """
 
 from __future__ import annotations
@@ -132,19 +133,6 @@ class Trajectory(Report):
         return obj
 
 
-def _finish(states: np.ndarray, residuals: np.ndarray, window_max=None) -> Trajectory:
-    """Pack a run into a Trajectory; the arrays are taken without a copy.
-    A non-finite state has no verdict and raises ValueError naming its
-    first step; the row max and min propagate NaN and infinity, so checking
-    those two vectors covers every entry."""
-    M = states.max(axis=1)
-    m = states.min(axis=1)
-    finite = np.isfinite(M) & np.isfinite(m)
-    if not finite.all():
-        raise ValueError(f"state became non-finite at step {int(np.argmin(finite))}")
-    return Trajectory(states=states, residuals=residuals, M=M, m=m, d=M - m, window_max=window_max)
-
-
 @dataclass(frozen=True)
 class DisturbancePolicy:
     """Source of the nonnegative per-step disturbances delta(k).
@@ -254,18 +242,39 @@ def _check_x0(x0, n: int | None, what: str = "initial vector") -> np.ndarray:
     return x
 
 
-def _iterate(x: np.ndarray, residuals: np.ndarray, step) -> tuple[np.ndarray, np.ndarray]:
-    """The one step loop behind every engine.  ``residuals`` is the run's
-    (steps, n) residual array, drawn before the run or filled by ``step``.
-    ``step(k, x(k), out)`` writes x(k+1) into ``out``; a true return ends
-    the run after step k, and both arrays are then cut to the run's length
-    as copies, so no buffer for the steps not taken stays alive."""
-    states = np.empty((residuals.shape[0] + 1, x.shape[0]))
+def _iterate(
+    x: np.ndarray, steps: int, residuals: np.ndarray, step, window_max=None
+) -> tuple[Trajectory, int | None]:
+    """The one step loop: ``step(k, x(k), r(k), out)`` writes x(k+1) into
+    ``out``, reading or filling the residual row r(k), and a true return
+    ends the run after step k.  ``residuals`` holds the first rows of the
+    (steps, n) residual array; both arrays double when a run outgrows them
+    and are cut to its length as copies when it ends early.  Returns the
+    run and the step that ended it, or None.  A non-finite state has no
+    verdict and raises ValueError naming its first step; the row max and
+    min propagate NaN and infinity, so those two vectors cover every entry."""
+    n, rows = x.shape[0], residuals.shape[0]
+    states = np.empty((rows + 1, n))
     states[0] = x
-    for k in range(residuals.shape[0]):
-        if step(k, states[k], states[k + 1]):
-            return states[: k + 2].copy(), residuals[: k + 1].copy()
-    return states, residuals
+    stop = None
+    for k in range(steps):
+        if k == rows:
+            more = np.empty((min(k, steps - k), n))
+            residuals = np.concatenate([residuals, more])
+            states = np.concatenate([states, more])
+            rows += more.shape[0]
+        if step(k, states[k], residuals[k], states[k + 1]):
+            stop = k
+            if k + 1 < rows:
+                states, residuals = states[: k + 2].copy(), residuals[: k + 1].copy()
+            break
+    M = states.max(axis=1)
+    m = states.min(axis=1)
+    finite = np.isfinite(M) & np.isfinite(m)
+    if not finite.all():
+        raise ValueError(f"state became non-finite at step {int(np.argmin(finite))}")
+    traj = Trajectory(states=states, residuals=residuals, M=M, m=m, d=M - m, window_max=window_max)
+    return traj, stop
 
 
 def run_rai(
@@ -278,12 +287,11 @@ def run_rai(
     if steps < 0:
         raise ValueError("steps must be >= 0")
     x = _check_x0(x0, seq.n)
-    deltas = policy.draw(seq.n, steps)
 
-    def step(k, x, out):
-        np.subtract(seq.matrix(k).entries @ x, deltas[k], out=out)
+    def step(k, x, delta, out):
+        np.subtract(seq.matrix(k).entries @ x, delta, out=out)
 
-    return _finish(*_iterate(x, deltas, step))
+    return _iterate(x, steps, policy.draw(seq.n, steps), step)[0]
 
 
 def run_degroot(seq: MatrixSequence, x0, steps: int) -> Trajectory:
@@ -432,21 +440,19 @@ def run_delayed_rai(
         )
     # y = [x(0); x(-1); ...; x(-d_star)], newest first.
     y = np.concatenate([_check_x0(h, n, "history vector") for h in hist][::-1])
-    deltas = policy.draw(n, steps)
     stacked_cache: dict = {}
     window_max = np.empty(steps + 1)
     window_max[0] = y.max()
 
-    def step(k, x, out):
-        nonlocal y
+    def step(k, x, delta, out):
         W = seq.matrix(k)
         table = delays.table(k)
         key = (id(W), table.tobytes())
         Xi = stacked_cache.get(key)
         if Xi is None:
             Xi = stacked_cache[key] = _stack(W, table, ds)
-        y = Xi.entries @ y
-        y[:n] -= deltas[k]
+        y[:] = Xi.entries @ y
+        y[:n] -= delta
         wm = float(y.max())
         prev = float(window_max[k])
         if wm > prev + FEAS_TOL * max(1.0, abs(prev)):
@@ -456,7 +462,7 @@ def run_delayed_rai(
         out[:] = y[:n]
         window_max[k + 1] = wm
 
-    return _finish(*_iterate(y[:n], deltas, step), window_max=window_max)
+    return _iterate(y[:n], steps, policy.draw(n, steps), step, window_max)[0]
 
 
 @dataclass(frozen=True)

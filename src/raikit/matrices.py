@@ -6,14 +6,13 @@ to exactly 0.0 once, so the zero/nonzero pattern (hence the induced graph) is
 deterministic; stochastic rows are then renormalized and compensated so each
 row sums to exactly 1.0 in floating point, which makes validation idempotent.
 
-A matrix is accepted in one pass: a flushed C-order copy, its smallest entry
-and its row sums.  No separate ``isfinite`` pass is needed: a NaN or a
-negative entry (-inf included) fails ``min >= 0``, and once every entry is
-nonnegative a +inf entry makes its row sum +inf, which fails the row-sum
-tolerance, so entries that pass both tests and have finite row sums are all
-finite.  Only a rejected matrix is diagnosed step by step, and the first
-failing check names the error, in this order: shape (square), n, finite,
-nonnegative, row sums.
+A matrix is accepted in one pass: a flushed C-order copy, the largest bit
+pattern of its entries and its row sums.  No separate ``isfinite`` pass is
+needed: a NaN, a negative entry or an infinity fails the bit-pattern bound,
+and so does an entry above 1 + ROW_SUM_TOL, whose row cannot pass the
+row-sum tolerance either.  Only a rejected matrix is diagnosed step by step,
+and the first failing check names the error, in this order: shape (square),
+n, finite, nonnegative, row sums.
 """
 
 from __future__ import annotations
@@ -46,10 +45,11 @@ __all__ = [
 ]
 
 
-def _checked_entries(n: int, entries) -> np.ndarray:
+def _checked_entries(n: int, entries) -> tuple[np.ndarray, np.ndarray]:
     """Diagnosis of a matrix the accepting pass turned down, shared by both
     classes: a finite n x n array, flushed into a new array, with no
-    negative entry left."""
+    negative entry left, and its row sums.  A finite row that overflows
+    sums to +inf, which the row-sum checks reject, without a warning."""
     e = np.asarray(entries, dtype=float)
     if e.ndim != 2 or e.shape[0] != e.shape[1]:
         raise ValueError(f"matrix must be square, got shape {e.shape}")
@@ -61,28 +61,29 @@ def _checked_entries(n: int, entries) -> np.ndarray:
     e[np.abs(e) < ENTRY_FLUSH] = 0.0
     if (e < 0).any():
         raise ValueError("entries must be nonnegative")
-    return e
+    with np.errstate(over="ignore"):
+        return e, e.sum(axis=1)
+
+
+# Nonnegative floats order like their bit patterns read as unsigned integers;
+# a sign bit, a NaN or an infinity reads larger than 1 + ROW_SUM_TOL.
+_TOP_BITS = int(np.float64(1.0 + ROW_SUM_TOL).view(np.uint64))
 
 
 def _flushed(n: int, entries) -> tuple[np.ndarray | None, np.ndarray]:
     """Accepting pass shared by both classes: a flushed C-order float copy
     of an n x n matrix and its row sums, or None and no sums when the shape
-    is wrong or an entry is NaN or negative.  A +inf entry passes here and
-    shows as an infinite row sum, which the caller's tolerance rejects."""
+    is wrong or an entry is not in [0, 1 + ROW_SUM_TOL].  Such an entry is
+    NaN, negative or infinite, or its row sums above 1 + ROW_SUM_TOL, so the
+    caller's diagnosis rejects the matrix either way; with every entry
+    bounded, no row sum can overflow."""
     e = np.array(entries, dtype=float, order="C")
     if e.shape != (n, n):
         return None, np.empty(0)
-    e[np.abs(e) < ENTRY_FLUSH] = 0.0
-    if not e.min(initial=0.0) >= 0.0:
+    e[np.abs(e) < ENTRY_FLUSH] = 0.0  # -0.0 becomes +0.0 here
+    if not e.view(np.uint64).max(initial=0) <= _TOP_BITS:
         return None, np.empty(0)
-    return e, _row_sums(e)
-
-
-def _row_sums(e: np.ndarray) -> np.ndarray:
-    """Row sums of nonnegative entries; a finite row that overflows sums to
-    +inf, which the row-sum checks reject, so numpy need not warn."""
-    with np.errstate(over="ignore"):
-        return e.sum(axis=1)
+    return e, e.sum(axis=1)
 
 
 def _nudge_to_unit_sum(row: np.ndarray) -> bool:
@@ -119,8 +120,7 @@ class RowStochasticMatrix:
             if s != 1.0:
                 off.append(i)
         if e is None:
-            e = _checked_entries(self.n, self.entries)
-            sums = _row_sums(e)
+            e, sums = _checked_entries(self.n, self.entries)
             bad = int(np.argmax(np.abs(sums - 1.0)))
             raise ValueError(f"row {bad} sums to {float(sums[bad])!r}, outside 1 +/- {ROW_SUM_TOL}")
         if off:
@@ -171,8 +171,7 @@ class SubstochasticMatrix:
             elif s < 1.0 - ROW_SUM_TOL:
                 deficient.append(i)
         if e is None:
-            e = _checked_entries(self.n, self.entries)
-            sums = _row_sums(e)
+            e, sums = _checked_entries(self.n, self.entries)
             bad = int(np.argmax(sums))
             raise ValueError(f"row {bad} sums to {float(sums[bad])!r}, above 1 + {ROW_SUM_TOL}")
         if over:

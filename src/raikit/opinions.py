@@ -11,7 +11,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .engine import Trajectory, _check_x0, _finish, _iterate
+from .engine import Trajectory, _check_x0, _iterate
 from .graphs import Report
 from .matrices import RowStochasticMatrix
 from .sequences import IndexedSequence, MatrixSequence
@@ -148,18 +148,17 @@ def run_hk(x0, cfg: HkConfig, max_steps: int) -> tuple[Trajectory, ClusterReport
     a = cfg.awareness_vector(x.shape[0])
     keep = 1.0 - a
     pull = cfg.truth * a
-    residuals = np.empty((max_steps, x.shape[0]))
 
-    def step(k, x, out):
+    def step(k, x, delta, out):
         W = hk_weights(x, cfg.epsilon).entries
         np.add(keep * (W @ x), pull, out=out)
-        np.subtract(W @ np.abs(x - cfg.truth), np.abs(out - cfg.truth), out=residuals[k])
+        np.subtract(W @ np.abs(x - cfg.truth), np.abs(out - cfg.truth), out=delta)
         return np.array_equal(out, x)
 
-    traj = _finish(*_iterate(x, residuals, step))
-    S = traj.states
-    frozen = traj.steps > 0 and np.array_equal(S[-1], S[-2])
-    return traj, _cluster(S[-1], cfg.truth, S, traj.steps - 1 if frozen else None)
+    # most runs freeze within a few dozen steps; the loop grows past these
+    first_rows = np.empty((min(max_steps, 64), x.shape[0]))
+    traj, frozen_at = _iterate(x, max_steps, first_rows, step)
+    return traj, _cluster(traj.states[-1], cfg.truth, traj.states, frozen_at)
 
 
 def _coerce_signed(n: int, value) -> np.ndarray:
@@ -237,18 +236,16 @@ def run_altafini(seq: SignedMatrixSequence, x0, steps: int) -> Trajectory:
     if steps < 0:
         raise ValueError("steps must be >= 0")
     x = _check_x0(x0, seq.n)
-    residuals = np.empty((steps, seq.n))
 
-    def step(k, x, out):
+    def step(k, x, delta, out):
         A = seq.matrix(k)
         np.matmul(A, x, out=out)
         mags = np.abs(x)
-        delta = residuals[k]
         np.subtract(np.abs(A) @ mags, np.abs(out), out=delta)
         if np.any(delta < -FEAS_TOL * np.maximum(1.0, mags.max())):
             raise RuntimeError(f"magnitude inequality violated at step {k}")
 
-    return _finish(*_iterate(x, residuals, step))
+    return _iterate(x, steps, np.empty((steps, seq.n)), step)[0]
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from raikit import (
     run_hk,
     run_rai,
 )
-from raikit.engine import _stack
+from raikit.engine import _iterate, _stack
 from raikit.opinions import _cluster
 from raikit.tolerances import ENTRY_FLUSH, FEAS_TOL, ROW_SUM_TOL
 
@@ -451,6 +451,40 @@ def test_hk_run_that_freezes_early_owns_arrays_of_its_length():
         assert report == ref_report
 
 
+_SLOW_FREEZE = ([0.0, 0.5, 3.0], HkConfig(epsilon=1.0, truth=10.0, awareness=(0.05, 0.05, 0.05)))
+
+
+@pytest.mark.parametrize(
+    "x0, cfg, max_steps",
+    # weak truth attraction freezes after step 658, past several doublings;
+    # the last run freezes within a few steps of a huge cap
+    [(*_SLOW_FREEZE, m) for m in (63, 64, 65, 128, 129, 658, 659, 10**9)]
+    + [([0.0, 0.4, 5.0], HkConfig(epsilon=1.0), 10**9)],
+)
+def test_hk_run_grows_its_arrays_only_as_far_as_it_runs(x0, cfg, max_steps):
+    traj, report = run_hk(x0, cfg, max_steps)
+    ref, ref_report = _reference_run_hk(x0, cfg, max_steps)
+    _assert_same(traj, ref)
+    assert report == ref_report and report.to_json() == ref_report.to_json()
+
+
+@pytest.mark.parametrize("stop", [0, 1, 62, 63, 64, 65, 127, 128, None])
+@pytest.mark.parametrize("first_rows", [1, 64, 300])
+def test_loop_grows_and_cuts_its_arrays_to_the_steps_taken(stop, first_rows):
+    def step(k, x, r, out):
+        out[:] = k + 1
+        r[:] = -k
+        return k == stop
+
+    traj, stopped = _iterate(np.zeros(2), 300, np.empty((first_rows, 2)), step)
+    taken = 300 if stop is None else stop + 1
+    assert stopped == stop
+    assert np.array_equal(traj.states, np.repeat(np.arange(taken + 1.0), 2).reshape(-1, 2))
+    assert np.array_equal(traj.residuals, -np.repeat(np.arange(taken + 0.0), 2).reshape(-1, 2))
+    for a in (traj.states, traj.residuals):
+        assert a.base is None and a.flags.owndata
+
+
 def test_one_check_names_every_bad_initial_and_history_vector():
     seq = MatrixSequence.constant(np.eye(2))
     zero = DisturbancePolicy.zero()
@@ -686,6 +720,19 @@ def test_overflowing_row_sum_is_rejected_without_a_warning():
             RowStochasticMatrix(n=3, entries=e)
         with pytest.raises(ValueError, match=r"^row 2 sums to inf, above 1 \+ 1e-09$"):
             SubstochasticMatrix(n=3, entries=e)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_entries_at_and_past_the_unit_bound_match_the_checks(n):
+    top = 1.0 + ROW_SUM_TOL
+    for v in (np.nextafter(top, 0.0), top, np.nextafter(top, 2.0), 2.0, 1.5e308, np.inf, -0.0):
+        e = np.eye(n)
+        e[0, 0] = v
+        got = _outcome(lambda: (RowStochasticMatrix(n=n, entries=e).entries,))
+        _same_outcome(got, _outcome(lambda: (_reference_row_stochastic(e, n),)))
+        A = _outcome(lambda: SubstochasticMatrix(n=n, entries=e))
+        got = A if isinstance(A, tuple) else (A.entries, A.deficiency_set)
+        _same_outcome(got, _outcome(lambda: _reference_substochastic(e, n)))
 
 
 def test_uncompensable_row_is_reported(monkeypatch):
