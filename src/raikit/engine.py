@@ -242,6 +242,7 @@ def _check_x0(x0, n: int | None, what: str = "initial vector") -> np.ndarray:
     return x
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite state raises below
 def _iterate(
     x: np.ndarray, steps: int, residuals: np.ndarray, step, window_max=None
 ) -> tuple[Trajectory, int | None]:

@@ -172,8 +172,9 @@ class Cut:
 
 
 # Rows per membership block of ``cut_blocks``: blocks grow from one row by
-# doubling up to this cap, so a verdict decided on an early cut costs about
-# one cut's work, and the arrays built per block stay O(CUT_BLOCK_ROWS * n).
+# doubling up to this cap, and the arrays built per block stay
+# O(CUT_BLOCK_ROWS * n).  No caller stops at an early cut any more, so the
+# doubling saves no work; it stays because a test pins the block sizes.
 CUT_BLOCK_ROWS = 1024
 
 
@@ -401,6 +402,33 @@ def reachable(
                 level[v] = level[u] + 1
                 queue.append(v)
     return level
+
+
+def _max_closure(weight: np.ndarray, forced: np.ndarray) -> tuple[int, frozenset[int]]:
+    """The largest total of the integer node ``weight`` over node sets
+    closed under ``forced`` (``forced[i][j]`` and j in the set put i in it),
+    and the smallest set of that total.  One minimum s-t cut (Picard 1976):
+    s -> v of capacity w(v) > 0, v -> t of capacity -w(v) > 0, forcing arcs
+    above sum |w| so that no finite cut severs them, and integer flow pushed
+    along shortest residual paths; s then still reaches exactly that set."""
+    n = len(weight)
+    s, t = n, n + 1
+    cap = np.zeros((n + 2, n + 2), dtype=np.int64)  # cap[u, v]: residual u -> v
+    cap[:n, :n] = forced.T * (int(np.abs(weight).sum()) + 1)
+    cap[s, :n], cap[:n, t] = np.maximum(weight, 0), np.maximum(-weight, 0)
+    while True:
+        level = reachable(WeightedDigraph(n=n + 2, weights=cap.T), [s])
+        if t not in level:
+            closure = sorted(set(level) - {s})
+            return int(weight[closure].sum()), frozenset(closure)
+        path = [t]  # walked back from t one BFS level at a time
+        while path[-1] != s:
+            v = path[-1]
+            path.append(next(u for u, d in level.items() if d == level[v] - 1 and cap[u, v] > 0))
+        u, v = path[1:], path[:-1]  # the path's arcs u -> v, each once
+        push = cap[u, v].min()
+        cap[u, v] -= push
+        cap[v, u] += push
 
 
 def cut_flow(g: WeightedDigraph, cut: Cut) -> tuple[float, float]:

@@ -203,7 +203,8 @@ class SignedMatrixSequence:
     @classmethod
     def explicit(cls, mats: Iterable, period: int = 0) -> "SignedMatrixSequence":
         mats = tuple(np.asarray(m, dtype=float) for m in mats)
-        return cls(n=mats[0].shape[0], period=period, matrices=mats)
+        n = mats[0].shape[0] if mats else 1  # the container rejects an empty list
+        return cls(n=n, period=period, matrices=mats)
 
     @classmethod
     def from_generator(cls, fn: Callable[[int], object], n: int, period: int = 0) -> "SignedMatrixSequence":

@@ -20,9 +20,9 @@ from .graphs import (
     Report,
     WeightedDigraph,
     _cut_constant,
+    _max_closure,
     _unbalanced_cut,
-    block_flows,
-    cut_blocks,
+    reachable,
 )
 from .matrices import RowStochasticMatrix
 from .tolerances import DIVERGENCE_THRESHOLD
@@ -162,7 +162,8 @@ class MatrixSequence:
         cls, mats: Iterable, period: int = 0, horizon_K: int | None = None
     ) -> "MatrixSequence":
         mats = tuple(mats)
-        n = mats[0].n if isinstance(mats[0], RowStochasticMatrix) else np.asarray(mats[0]).shape[0]
+        first = mats[0] if mats else np.eye(1)  # the container rejects an empty list
+        n = first.n if isinstance(first, RowStochasticMatrix) else np.asarray(first).shape[0]
         return cls(n=n, period=period, horizon_K=horizon_K, matrices=mats)
 
     @classmethod
@@ -214,10 +215,9 @@ class PersistentGraphEstimate:
 
 
 def persistent_graph(seq: MatrixSequence) -> PersistentGraphEstimate:
-    n = seq.n
+    n, p = seq.n, seq.period
     horizon = _default_horizon(seq)
-    if seq.period > 0:
-        p = seq.period
+    if p > 0:
         period_sum = np.zeros((n, n))
         for k in range(p):
             period_sum += seq.matrix(k).entries
@@ -225,22 +225,17 @@ def persistent_graph(seq: MatrixSequence) -> PersistentGraphEstimate:
         partial = full * period_sum
         for k in range(rem):
             partial += seq.matrix(k).entries
-        adjacency = (period_sum > 0).astype(float)
-        return PersistentGraphEstimate(
-            graph=WeightedDigraph(n=n, weights=adjacency),
-            partial_sums=partial,
-            divergence_threshold=DIVERGENCE_THRESHOLD,
-            exact=True,
-        )
-    partial = np.zeros((n, n))
-    for k in range(horizon):
-        partial += seq.matrix(k).entries
-    adjacency = (partial >= DIVERGENCE_THRESHOLD).astype(float)
+        adjacency = period_sum > 0
+    else:
+        partial = np.zeros((n, n))
+        for k in range(horizon):
+            partial += seq.matrix(k).entries
+        adjacency = partial >= DIVERGENCE_THRESHOLD
     return PersistentGraphEstimate(
-        graph=WeightedDigraph(n=n, weights=adjacency),
+        graph=WeightedDigraph(n=n, weights=adjacency.astype(float)),
         partial_sums=partial,
         divergence_threshold=DIVERGENCE_THRESHOLD,
-        exact=False,
+        exact=p > 0,
     )
 
 
@@ -290,75 +285,49 @@ class ReciprocityReport(Report):
 
 
 def check_reciprocity(seq: MatrixSequence, M: int, T: int) -> ReciprocityReport:
-    """Exhaustive check over all cuts (I, J) and windows [k0, k1]: if the
-    count of distinct J-to-I pairs active in [k0, k1] reaches M, some I-to-J
-    arc must be active in [k0, k1 + T].  The reported violation is the first
-    in (cut mask, k0, k1) order, masks as in ``all_cuts``.
+    """Over every cut (I, J) and window [k0, k1]: if the count of distinct
+    J-to-I pairs active in [k0, k1] reaches M, some I-to-J arc must be
+    active in [k0, k1 + T].
+
+    No cut is enumerated.  With A and B the arcs active in [k0, k1] and in
+    [k0, k1 + T], an unanswered I is closed under B (j in I and a B arc
+    j -> i put i in I), and the A arcs entering it number the sum over I of
+    in_A - out_A.  So a window violates iff the maximum-weight closure
+    (``_max_closure``) weighs at least M; the empty and the full node set
+    weigh 0.  Reported: the first violating window in (k0, k1) order, with
+    the smallest maximum closure as I.
 
     Periodic sequences: exact (k0 below the period and windows up to one
     period long cover every case: after one period a window and its response
     window have seen every arc they ever will).  Aperiodic: windows within
     the horizon only, and a violation is reported only when the full
-    response window fits inside it.
-
-    Cuts are checked in ``cut_blocks`` blocks with exact integer counts:
-    each window costs O(b n^2) for the b cuts of a block still undecided on
-    it, and a cut is decided on a window start as soon as its count reaches
-    M or an answer arrives.  Raises ValueError when n exceeds
-    ``CUT_ENUMERATION_LIMIT``."""
+    response window fits inside it."""
     if M < 1 or T < 0:
         raise ValueError("need M >= 1 and T >= 0")
-    blocks = cut_blocks(seq.n)  # raises above the enumeration limit
-    p = seq.period
-    if p > 0:
-        k0_count, exact = p, True
-    else:
-        k0_count, exact = _default_horizon(seq, M, T), False
-
-    # 0/1 activity patterns are fetched lazily and cached by step.
-    act: dict[int, np.ndarray] = {}
-
-    def active(k: int) -> np.ndarray:
-        a = act.get(k)
-        if a is None:
-            a = (seq.matrix(k).entries > 0).astype(np.int64)
-            act[k] = a
-        return a
-
-    for _, X in blocks:
-        # Only block rows before the first violating one found so far can
-        # still change the answer.
-        first_bad, window = len(X), None
-        for k0 in range(k0_count):
-            if first_bad == 0:
-                break
-            k1_stop = k0 + p - 1 if p > 0 else k0_count - 1
-            rows = np.arange(first_bad)
-            seen = np.zeros((seq.n, seq.n), dtype=np.int64)
-            heard = np.zeros_like(seen)
-            t = k0
-            for k1 in range(k0, k1_stop + 1):
-                if not rows.size:
-                    break
-                seen |= active(k1)
-                while t <= k1 + T and (p > 0 or t <= k1_stop):
-                    heard |= active(t)
-                    t += 1
-                Xr = X[rows]
-                answered = block_flows(Xr, heard.T) > 0
-                reached = block_flows(Xr, seen) >= M
-                bad = rows[reached & ~answered]
-                if bad.size and (p > 0 or k1 + T <= k1_stop):
-                    first_bad, window = int(bad[0]), (k0, k1)
-                rows = rows[~(answered | reached) & (rows < first_bad)]
-        if window is not None:
-            cut = Cut.of(np.flatnonzero(X[first_bad]).tolist(), seq.n)
-            return ReciprocityReport(
-                holds=False, M=M, T=T, violating_cut=cut, violating_window=window, exact=exact
-            )
-    return ReciprocityReport(
-        holds=True, M=M, T=T, violating_cut=None, violating_window=None, exact=exact
-    )
+    n, p = seq.n, seq.period
+    k0_count, exact = (p, True) if p > 0 else (_default_horizon(seq, M, T), False)
+    for k0 in range(k0_count):
+        k1_stop = k0 + p - 1 if p > 0 else k0_count - 1 - T  # the response window fits
+        seen = np.zeros((n, n), dtype=bool)  # self-loops count in and out, so weigh 0
+        heard, t, size = seen.copy(), k0, None
+        for k1 in range(k0, k1_stop + 1):
+            seen |= seq.matrix(k1).entries > 0
+            while t <= k1 + T:
+                heard |= seq.matrix(t).entries > 0
+                t += 1
+            last, size = size, (int(seen.sum()), int(heard.sum()))
+            if size == last:
+                continue  # the previous window's answer
+            answers = WeightedDigraph(n=n, weights=heard)
+            if len(reachable(answers, [0])) == n == len(reachable(answers, [0], reverse=True)):
+                break  # B is strongly connected: every cut is answered, now and later
+            weight = seen.sum(axis=1) - seen.sum(axis=0)  # in_A - out_A per node
+            if np.maximum(weight, 0).sum() < M:  # no closed set can reach M
+                continue
+            best, closure = _max_closure(weight, heard)
+            if best >= M:
+                return ReciprocityReport(False, M, T, Cut.of(closure, n), (k0, k1), exact)
+    return ReciprocityReport(True, M, T, None, None, exact)
 
 
 @dataclass(frozen=True)

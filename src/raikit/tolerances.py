@@ -22,7 +22,7 @@ def tail_window(steps: int) -> int:
 
 
 # Sequence analysis.
-CUT_ENUMERATION_LIMIT = 20    # exhaustive cut enumeration up to 2^20 cuts
+CUT_ENUMERATION_LIMIT = 20    # cut constants C enumerate up to 2^20 cuts
 DIVERGENCE_THRESHOLD = 10.0   # partial-sum threshold for persistent arcs
 
 # Opinion models.

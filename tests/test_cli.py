@@ -308,3 +308,21 @@ def test_analyze_graph_components_are_sorted(tmp_path):
     dec = strong_components(WeightedDigraph(n=9, weights=np.array(w)))
     assert v["components"] == [sorted(c) for c in dec.components]
     assert len(v["classification"]) == len(v["aperiodic_components"]) == 8
+
+
+@pytest.mark.parametrize(
+    "kind, parameters",
+    [
+        ("check_sequence", {"sequence": {"kind": "explicit", "matrices": []}, "M": 1, "T": 0, "L": 1}),
+        (
+            "simulate_rai",
+            {"sequence": {"kind": "explicit", "matrices": []}, "x0": [1.0, 0.0], "steps": 10},
+        ),
+        ("simulate_altafini", {"matrices": [], "x0": [1.0, 0.0], "steps": 10}),
+    ],
+)
+def test_empty_explicit_sequence_exit_two(tmp_path, capsys, kind, parameters):
+    sc = {"schema_version": SCHEMA_VERSION, "name": "empty", "kind": kind, "parameters": parameters}
+    assert run_scenario(_write(tmp_path, sc), out_dir=tmp_path) == 2
+    assert capsys.readouterr().err == "error: validation: explicit sequence must be nonempty\n"
+    assert not (tmp_path / "empty.verdict.json").exists()

@@ -1,5 +1,6 @@
-"""The blockwise all-cuts kernel and the three checkers built on it, against
-the per-cut loops they replaced (kept here as reference oracles)."""
+"""The blockwise all-cuts kernel, the cut certificate and the uniform
+check built on it, and the closure-based reciprocity check, against the
+per-cut loops they replaced (kept here as reference oracles)."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from raikit import (
     Cut,
     MatrixSequence,
+    ReciprocityReport,
     WeightedDigraph,
     all_cuts,
     check_reciprocity,
@@ -72,6 +74,36 @@ def _reference_reciprocity(seq, M, T):
     return True, None, None, exact
 
 
+def _reference_witness(seq, M, T):
+    """(violating_cut, violating_window) of the closure rule, from every cut
+    of every window: the first window in (k0, k1) order on which some cut
+    violates, and there the smallest cut closed under the response arcs
+    with the most premise arcs entering it.  (None, None) when none does."""
+    n, p = seq.n, seq.period
+    horizon = p if p > 0 else _default_horizon(seq, M, T)
+    cuts = list(all_cuts(n))
+    X = np.array([[v in c.left for v in range(n)] for c in cuts], dtype=bool).reshape(-1, n)
+    # [c, i, j]: i in I and j in J, the cross pairs of arcs j -> i into I
+    into = X[:, :, None] & ~X[:, None, :]
+
+    def active(lo, hi):
+        return np.any([seq.matrix(k).entries > 0 for k in range(lo, hi + 1)], axis=0)
+
+    for k0 in range(horizon):
+        k1_max = k0 + p - 1 if p > 0 else horizon - 1 - T
+        for k1 in range(k0, k1_max + 1):
+            entering = (into & active(k0, k1)).sum(axis=(1, 2))
+            closed = ~(into & active(k0, k1 + T).T).any(axis=(1, 2))
+            if (closed & (entering >= M)).any():
+                best = max(entering[closed])
+                smallest = min(
+                    (r for r in range(len(cuts)) if closed[r] and entering[r] == best),
+                    key=lambda r: len(cuts[r].left),
+                )
+                return cuts[smallest], (k0, k1)
+    return None, None
+
+
 def _reference_uniform(seq, L):
     """(holds, C) from every cut of every window sum."""
     sums, _ = _window_sums(seq, L)
@@ -129,15 +161,14 @@ def sequences(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(sequences(), st.sampled_from([1, 2]), st.integers(0, 2))
+@given(sequences(), st.integers(1, 4), st.integers(0, 2))
 def test_reciprocity_matches_per_cut_loop(seq, M, T):
     rep = check_reciprocity(seq, M, T)
-    holds, cut, window, exact = _reference_reciprocity(seq, M, T)
-    assert (rep.holds, rep.violating_cut, rep.violating_window, rep.exact) == (
-        holds,
-        cut,
-        window,
-        exact,
+    holds, _, _, exact = _reference_reciprocity(seq, M, T)
+    cut, window = _reference_witness(seq, M, T)
+    assert (cut is None) is holds
+    assert rep == ReciprocityReport(
+        holds=holds, M=M, T=T, violating_cut=cut, violating_window=window, exact=exact
     )
 
 
@@ -276,6 +307,25 @@ def test_reciprocity_counts_arcs_over_several_steps_of_a_period():
     assert _reference_reciprocity(seq, 2, 1)[1:3] == (Cut.of([0], 3), (0, 1))
 
 
+def test_reciprocity_reports_the_first_window_not_the_first_cut():
+    # Node 1 hears node 2 at step 0, node 0 hears node 1 at step 1, and
+    # neither answers.  Cut {0} (mask 1) first fails on window (0, 1); cut
+    # {1} fails earlier, on (0, 0), and is the one reported.
+    step0 = np.eye(3)
+    step0[1] = [0.0, 0.5, 0.5]
+    step1 = np.eye(3)
+    step1[0] = [0.5, 0.5, 0.0]
+    seq = MatrixSequence.explicit([step0, step1], period=2)
+    rep = check_reciprocity(seq, M=1, T=0)
+    assert (rep.violating_cut, rep.violating_window) == (Cut.of([1], 3), (0, 0))
+    assert _reference_reciprocity(seq, 1, 0)[1:3] == (Cut.of([0], 3), (0, 1))
+    assert _reference_witness(seq, 1, 0) == (Cut.of([1], 3), (0, 0))
+
+
+def _no_enumeration(n):
+    raise AssertionError("a check enumerated cuts")
+
+
 def test_uniform_failure_in_last_window_enumerates_no_cut(monkeypatch):
     # Windows 0-2 are the identity; only window 3, the last of the period,
     # carries the one-way arc 1 -> 0.
@@ -285,16 +335,13 @@ def test_uniform_failure_in_last_window_enumerates_no_cut(monkeypatch):
     seq = MatrixSequence.explicit(mats, period=p)
     assert _reference_uniform(seq, 0) == (False, None)
 
-    def no_enumeration(n):
-        raise AssertionError("a failing uniform check enumerated cuts")
-
-    monkeypatch.setattr(raikit.graphs, "cut_blocks", no_enumeration)
+    monkeypatch.setattr(raikit.graphs, "cut_blocks", _no_enumeration)
     rep = check_uniform_cut_balance(seq, 0)
     assert not rep.holds and rep.C is None
     assert rep.witness == (Cut.of([0], n), p - 1)
 
 
-def test_uniform_cut_balance_above_enumeration_limit():
+def test_uniform_cut_balance_above_enumeration_limit(monkeypatch):
     n = CUT_ENUMERATION_LIMIT + 4
     failing = MatrixSequence.explicit(_one_way_at_zero(n), period=3)
     rep = check_uniform_cut_balance(failing, 2)
@@ -307,5 +354,9 @@ def test_uniform_cut_balance_above_enumeration_limit():
         W[0, 0], W[0, 1] = 1.0, W[0, 1] - 0.2
     rep = check_uniform_cut_balance(MatrixSequence.explicit(mats, period=3), 2)
     assert rep.holds and rep.C is None and rep.witness is None and rep.exact
-    with pytest.raises(ValueError):
-        check_reciprocity(failing, M=1, T=0)
+
+    # reciprocity is decided at any n, with no cut enumerated
+    monkeypatch.setattr(raikit.graphs, "cut_blocks", _no_enumeration)
+    rec = check_reciprocity(failing, M=1, T=0)
+    assert not rec.holds and rec.exact
+    assert (rec.violating_cut, rec.violating_window) == (Cut.of([0], n), (0, 0))

@@ -304,7 +304,6 @@ def test_trajectory_serialization():
 def test_non_finite_state_raises():
     seq = MatrixSequence.constant([[0, 1.0, 0], [0, 0, 1.0], [1.0, 0, 0]])
     policy = DisturbancePolicy.constant_random(1e306, seed=0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert np.isfinite(run_rai(seq, [1.0, 2.0, 3.0], policy, 350).states).all()
-        with pytest.raises(ValueError, match=r"^state became non-finite at step 351$"):
-            run_rai(seq, [1.0, 2.0, 3.0], policy, 400)
+    assert np.isfinite(run_rai(seq, [1.0, 2.0, 3.0], policy, 350).states).all()
+    with pytest.raises(ValueError, match=r"^state became non-finite at step 351$"):
+        run_rai(seq, [1.0, 2.0, 3.0], policy, 400)

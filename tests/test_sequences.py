@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import raikit.graphs
 from raikit import (
     MatrixSequence,
     RowStochasticMatrix,
@@ -135,10 +136,15 @@ def test_reciprocity_unidirectional_violated():
     assert arc_count(seq, J, I, k0, k1 + rep.T) == 0
 
 
-def test_reciprocity_rejects_large_n():
-    seq = MatrixSequence.constant(np.eye(25))
-    with pytest.raises(ValueError):
-        check_reciprocity(seq, M=1, T=0)
+def test_reciprocity_decides_large_n(monkeypatch):
+    def no_enumeration(n):
+        raise AssertionError("reciprocity enumerated cuts")
+
+    monkeypatch.setattr(raikit.graphs, "cut_blocks", no_enumeration)
+    n = 40
+    ring = [_sym_pair(n, i, (i + 1) % n) for i in range(n)]
+    rep = check_reciprocity(MatrixSequence.explicit(ring, period=n), M=1, T=0)
+    assert rep.holds and rep.exact and rep.violating_cut is None
 
 
 def test_cut_balance_symmetric_and_french():
