@@ -377,7 +377,8 @@ def run_scenario(
                 tpath.write_text(dump_json(traj.to_json_obj()), newline="\n")
             else:
                 tpath = out / outputs.get("trajectory", f"{name}.trajectory.csv")
-                tpath.write_text(traj.to_csv(), newline="\n")
+                with tpath.open("w", newline="\n") as f:
+                    f.writelines(traj.csv_blocks())
         if "solve_result" in artifacts:
             hpath = out / outputs.get("history", f"{name}.history.csv")
             hpath.write_text(artifacts["solve_result"].history_csv(), newline="\n")

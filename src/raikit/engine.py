@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,6 +52,9 @@ __all__ = [
 ]
 
 
+_CSV_BLOCK_ROWS = 1024  # rows per string of Trajectory.csv_blocks: about 1 MB at n = 4
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     a.setflags(write=False)
@@ -64,10 +67,11 @@ class Trajectory(Report):
 
     ``states`` is (K+1) x n, ``residuals`` is K x n (the disturbance applied
     at each step; the last state has none).  ``M``, ``m``, ``d`` are the
-    running max, min and diameter of the state.  ``window_max`` is only set
-    by the delayed engine: the max over the full delay window, which is the
-    quantity that is non-increasing when delays are present (plain M(k) need
-    not be monotone under delays).
+    running max, min and diameter of the state; ``d`` saturates to inf
+    where M - m overflows.  ``window_max`` is only set by the delayed
+    engine: the max over the full delay window, which is the quantity that
+    is non-increasing when delays are present (plain M(k) need not be
+    monotone under delays).
     """
 
     states: np.ndarray
@@ -106,25 +110,26 @@ class Trajectory(Report):
             return 0.0
         return float(np.max(np.diff(self.M)))
 
+    def csv_blocks(self) -> Iterator[str]:
+        """The CSV text in pieces: the header line, then one string per
+        block of at most _CSV_BLOCK_ROWS rows.  Each value is its float
+        repr; ``%.0s`` leaves the last row's n delta fields empty."""
+        n, steps = self.n, self.steps
+        cols = [f"x_{i}" for i in range(n)] + [f"delta_{i}" for i in range(n)]
+        yield ",".join(["k"] + cols + ["M", "m", "d"]) + "\n"
+        row = "%d," + ",".join(["%r"] * (2 * n + 3)) + "\n"
+        last = "%d," + ",".join(["%r"] * n + ["%.0s"] * n + ["%r"] * 3) + "\n"
+        for a in range(0, steps + 1, _CSV_BLOCK_ROWS):
+            b = min(a + _CSV_BLOCK_ROWS, steps + 1)
+            table = np.zeros((b - a, 2 * n + 3))
+            table[:, :n] = self.states[a:b]
+            table[: min(b, steps) - a, n : 2 * n] = self.residuals[a:b]
+            table[:, 2 * n :] = np.stack((self.M[a:b], self.m[a:b], self.d[a:b]), axis=1)
+            fmts = [row] * (min(b, steps) - a) + [last] * (b > steps)
+            yield "".join([f % (k, *r) for f, k, r in zip(fmts, range(a, b), table.tolist())])
+
     def to_csv(self) -> str:
-        n = self.n
-        cols = (
-            ["k"]
-            + [f"x_{i}" for i in range(n)]
-            + [f"delta_{i}" for i in range(n)]
-            + ["M", "m", "d"]
-        )
-        lines = [",".join(cols)]
-        for k in range(self.steps + 1):
-            row = [str(k)]
-            row += [repr(float(v)) for v in self.states[k]]
-            if k < self.steps:
-                row += [repr(float(v)) for v in self.residuals[k]]
-            else:
-                row += [""] * n
-            row += [repr(float(self.M[k])), repr(float(self.m[k])), repr(float(self.d[k]))]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        return "".join(self.csv_blocks())
 
     def to_json_obj(self) -> dict:
         obj = super().to_json_obj()
@@ -492,6 +497,7 @@ class ConvergenceVerdict(Report):
         return all(s.kind == "converged" for s in self.statuses)
 
 
+@np.errstate(over="ignore")  # an infinite spread is no consensus
 def classify(traj: Trajectory) -> ConvergenceVerdict:
     """Classify each agent over the final tail window.
 

@@ -1,9 +1,10 @@
-"""The one engine loop and the one-pass matrix validation, against the
-per-step, per-row and step-by-step code they replaced (kept here as
-reference oracles).  Every comparison is bitwise.  A rejected matrix must
-give the same exception type and message; a rejected engine input the same
-exception type."""
+"""The one engine loop, the one-pass matrix validation and the block CSV
+writer, against the per-step, per-row and step-by-step code they replaced
+(kept here as reference oracles).  Every comparison is bitwise.  A rejected
+matrix must give the same exception type and message; a rejected engine
+input the same exception type."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,13 +20,15 @@ from raikit import (
     RowStochasticMatrix,
     SignedMatrixSequence,
     SubstochasticMatrix,
+    Trajectory,
+    gossip_sequence,
     hk_weights,
     run_altafini,
     run_delayed_rai,
     run_hk,
     run_rai,
 )
-from raikit.engine import _iterate, _stack
+from raikit.engine import _CSV_BLOCK_ROWS, _iterate, _stack
 from raikit.opinions import _cluster
 from raikit.tolerances import ENTRY_FLUSH, FEAS_TOL, ROW_SUM_TOL
 
@@ -783,3 +786,85 @@ def test_empty_replay_table_is_rejected():
         )
     with pytest.raises(ValueError, match="^replay table must be nonempty$"):
         DisturbancePolicy.adversarial_replay([])
+
+
+# ---------------------------------------------------------------------------
+# Trajectory CSV: the block writer against the row-by-row loop it replaced.
+
+
+def _reference_csv(traj):
+    n = traj.n
+    cols = (
+        ["k"]
+        + [f"x_{i}" for i in range(n)]
+        + [f"delta_{i}" for i in range(n)]
+        + ["M", "m", "d"]
+    )
+    lines = [",".join(cols)]
+    for k in range(traj.steps + 1):
+        row = [str(k)]
+        row += [repr(float(v)) for v in traj.states[k]]
+        if k < traj.steps:
+            row += [repr(float(v)) for v in traj.residuals[k]]
+        else:
+            row += [""] * n
+        row += [repr(float(traj.M[k])), repr(float(traj.m[k])), repr(float(traj.d[k]))]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+# Signed zeros, the smallest subnormal and normal, both sides of repr's
+# switch to exponent form, the float range's edges and a saturated d.
+_CSV_VALUES = (
+    -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 9999999999999998.0, 1e16,
+    1e-5, 0.0001, 1.7e308, -1.7e308, float("inf"),
+)
+
+
+@st.composite
+def _csv_trajectories(draw):
+    n = draw(st.sampled_from([1, 7]))
+    B = _CSV_BLOCK_ROWS
+    steps = draw(st.sampled_from([0, B - 1, B, B + 1, 2 * B + 1]))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    pool = np.array(_CSV_VALUES + tuple(draw(st.lists(finite, max_size=8))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def pick(*shape):
+        return pool[rng.integers(0, len(pool), shape)]
+
+    return Trajectory(
+        states=pick(steps + 1, n), residuals=pick(steps, n),
+        M=pick(steps + 1), m=pick(steps + 1), d=pick(steps + 1),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(traj=_csv_trajectories())
+def test_csv_blocks_match_the_row_loop(traj):
+    # Compared as lists of lines: on a failure pytest would diff two long
+    # strings character by character, once per shrinking step.
+    want = _reference_csv(traj).splitlines(keepends=True)
+    blocks = list(traj.csv_blocks())
+    assert [line for b in blocks for line in b.splitlines(keepends=True)] == want
+    assert traj.to_csv().splitlines(keepends=True) == want
+    assert blocks[0] == want[0]
+    rows, B = traj.steps + 1, _CSV_BLOCK_ROWS
+    assert [b.count("\n") for b in blocks[1:]] == [min(B, rows - a) for a in range(0, rows, B)]
+
+
+def test_csv_of_a_long_run_is_written_in_bounded_memory(tmp_path):
+    # The whole text of this run is 11.7 MB; a writer that builds it in
+    # one string peaks near 38 MB.
+    seq = gossip_sequence(4, [(0, 1), (1, 2), (2, 3), (3, 0)], 0.5, [0, 1, 11, 111], period=444)
+    policy = DisturbancePolicy.vanishing_random(1e-3, 0.999, seed=7)
+    traj = run_rai(seq, [0.9, -0.3, 0.4, -0.7], policy, 50_000)
+    tracemalloc.start()
+    try:
+        with open(tmp_path / "t.csv", "w", newline="\n") as f:
+            f.writelines(traj.csv_blocks())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, f"writing the CSV peaked at {peak / 1e6:.1f} MB"
+    assert (tmp_path / "t.csv").stat().st_size > 8e6

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from raikit import WeightedDigraph, strong_components
+from raikit import Trajectory, WeightedDigraph, strong_components
 from raikit.cli import SCHEMA_VERSION, list_bundled, main, run_scenario
 
 BUNDLED = [
@@ -152,6 +152,30 @@ def test_byte_determinism_and_seed_override(tmp_path):
     assert (a / "tiny.verdict.json").read_bytes() == (b / "tiny.verdict.json").read_bytes()
     assert run_scenario(ref, out_dir=c, seed=5) == 0
     assert (a / "tiny.trajectory.csv").read_bytes() != (c / "tiny.trajectory.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["gossip_silence_ring", "delay_2agent_oscillation", "altafini_unbalanced", "hk_truth_seekers"],
+)
+def test_trajectory_csv_is_streamed_with_the_bytes_of_to_csv(name, tmp_path, monkeypatch):
+    runs = []
+    csv_blocks = Trajectory.csv_blocks
+
+    def recorded(traj):
+        runs.append(traj)
+        return csv_blocks(traj)
+
+    def whole_text(traj):
+        raise AssertionError("the CLI built the whole CSV in one string")
+
+    monkeypatch.setattr(Trajectory, "csv_blocks", recorded)
+    monkeypatch.setattr(Trajectory, "to_csv", whole_text)
+    run_scenario(name, out_dir=tmp_path)
+    monkeypatch.undo()
+    assert len(runs) == 1
+    written = (tmp_path / f"{name}.trajectory.csv").read_bytes()
+    assert written == runs[0].to_csv().encode()
 
 
 def test_json_trajectory_format(tmp_path):

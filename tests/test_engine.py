@@ -9,11 +9,13 @@ from raikit import (
     DisturbancePolicy,
     MatrixSequence,
     RowStochasticMatrix,
+    SignedMatrixSequence,
     classify,
     exp_product_bound,
     flow_contraction_bound,
     flow_contraction_bound_delayed,
     gossip_sequence,
+    run_altafini,
     run_degroot,
     run_delayed_rai,
     run_rai,
@@ -229,6 +231,18 @@ def test_classify_needs_enough_steps():
     traj = run_rai(seq, np.zeros(2), DisturbancePolicy.zero(), 10)
     with pytest.raises(ValueError):
         classify(traj)
+
+
+def test_classify_spread_past_the_float_range_is_no_consensus():
+    # Both agents stay put, so both converge, but their spread overflows:
+    # d saturates to inf and classify must say no consensus without a
+    # RuntimeWarning (the suite turns one into an error).
+    seq = SignedMatrixSequence.constant(np.eye(2))
+    traj = run_altafini(seq, [1.7e308, -1.7e308], 60)
+    assert np.isfinite(traj.states).all() and traj.d[-1] == np.inf
+    v = classify(traj)
+    assert [s.kind for s in v.statuses] == ["converged"] * 2
+    assert not v.consensus and v.consensus_value is None
 
 
 def test_consensus_value_is_weighted_mean_of_limits():
