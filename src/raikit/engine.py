@@ -147,8 +147,8 @@ class DisturbancePolicy:
     kind "constant_random": scale * uniform[0,1]^n, non-vanishing.
     kind "adversarial_replay": an explicit table of vectors, cycled when the
     run is longer than the table (the replayed counterexamples are periodic).
-    Random kinds are deterministic given ``seed``.  A run draws its whole
-    (steps, n) block of disturbances once and checks it once.
+    Random kinds are deterministic given ``seed``.  The fields that the kind
+    reads are checked at construction; a run draws its (steps, n) block once.
     """
 
     kind: str
@@ -158,8 +158,23 @@ class DisturbancePolicy:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind == "adversarial_replay" and not self.replay:
-            raise ValueError("replay table must be nonempty")
+        if self.kind == "vanishing_random":
+            if not np.isfinite(self.scale) or self.scale < 0 or not 0 < self.decay < 1:
+                raise ValueError("need a finite scale >= 0 and 0 < decay < 1")
+        elif self.kind == "constant_random":
+            if not np.isfinite(self.scale) or self.scale < 0:
+                raise ValueError("scale must be a finite number >= 0")
+        elif self.kind == "adversarial_replay":
+            table = tuple(tuple(float(v) for v in row) for row in self.replay)
+            if not table:
+                raise ValueError("replay table must be nonempty")
+            for row in table:
+                for v in row:
+                    if not np.isfinite(v) or v < 0:
+                        raise ValueError(f"replay disturbance {v!r} is not a nonnegative real")
+            object.__setattr__(self, "replay", table)
+        elif self.kind != "zero":
+            raise ValueError(f"unknown disturbance kind {self.kind!r}")
 
     @classmethod
     def zero(cls) -> "DisturbancePolicy":
@@ -167,37 +182,26 @@ class DisturbancePolicy:
 
     @classmethod
     def vanishing_random(cls, scale: float, decay: float, seed: int = 0) -> "DisturbancePolicy":
-        if not np.isfinite(scale) or scale < 0 or not 0 < decay < 1:
-            raise ValueError("need a finite scale >= 0 and 0 < decay < 1")
         return cls(kind="vanishing_random", scale=scale, decay=decay, seed=seed)
 
     @classmethod
     def constant_random(cls, scale: float, seed: int = 0) -> "DisturbancePolicy":
-        if not np.isfinite(scale) or scale < 0:
-            raise ValueError("scale must be a finite number >= 0")
         return cls(kind="constant_random", scale=scale, seed=seed)
 
     @classmethod
     def adversarial_replay(cls, deltas: Iterable[Iterable[float]]) -> "DisturbancePolicy":
-        table = tuple(tuple(float(v) for v in row) for row in deltas)
-        for row in table:
-            for v in row:
-                if not np.isfinite(v) or v < 0:
-                    raise ValueError(f"replay disturbance {v!r} is not a nonnegative real")
-        return cls(kind="adversarial_replay", replay=table)
+        return cls(kind="adversarial_replay", replay=tuple(deltas))
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DisturbancePolicy":
         kind = obj["kind"]
-        if kind == "zero":
-            return cls.zero()
         if kind == "vanishing_random":
             return cls.vanishing_random(obj["scale"], obj["decay"], obj.get("seed", 0))
         if kind == "constant_random":
             return cls.constant_random(obj["scale"], obj.get("seed", 0))
         if kind == "adversarial_replay":
             return cls.adversarial_replay(obj["deltas"])
-        raise ValueError(f"unknown disturbance kind {kind!r}")
+        return cls(kind=kind)  # "zero", or rejected as an unknown kind
 
     def to_json_obj(self) -> dict:
         if self.kind == "zero":
@@ -211,37 +215,31 @@ class DisturbancePolicy:
     def draw(self, n: int, steps: int) -> np.ndarray:
         """delta(0), ..., delta(steps-1) as a (steps, n) block.  One block
         draw takes the same generator bits as one draw of n per step, and
-        each decay factor is the scalar scale * decay**k.  Raises ValueError
-        naming the first step with a negative or non-finite entry."""
+        each decay factor is the scalar scale * decay**k <= scale, so every
+        entry is finite and >= 0."""
         if self.kind == "zero":
-            block = np.zeros((steps, n))
-        elif self.kind in ("vanishing_random", "constant_random"):
-            block = np.random.default_rng(self.seed).random((steps, n))
-            if self.kind == "vanishing_random":
-                scale, decay = self.scale, self.decay
-                block *= np.array([scale * decay**k for k in range(steps)])[:, None]
-            else:
-                block *= self.scale
-        elif self.kind == "adversarial_replay":
+            return np.zeros((steps, n))
+        if self.kind == "adversarial_replay":
             if any(len(row) != n for row in self.replay):
                 raise ValueError("replay rows do not match the state dimension")
             table = np.array(self.replay, dtype=float)
-            block = table[np.arange(steps) % len(table)]
+            return table[np.arange(steps) % len(table)]
+        block = np.random.default_rng(self.seed).random((steps, n))
+        if self.kind == "vanishing_random":
+            scale, decay = self.scale, self.decay
+            block *= np.array([scale * decay**k for k in range(steps)])[:, None]
         else:
-            raise ValueError(f"unknown disturbance kind {self.kind!r}")
-        ok = (np.isfinite(block) & (block >= 0)).all(axis=1)
-        if not ok.all():
-            k = int(np.argmin(ok))
-            what = "a negative" if (block[k] < 0).any() else "a non-finite"
-            raise ValueError(f"disturbance at step {k} has {what} entry")
+            block *= self.scale
         return block
 
 
 def _check_x0(x0, n: int | None, what: str = "initial vector") -> np.ndarray:
-    """``x0`` as a finite float vector of length n (any length if n is None)."""
+    """``x0`` as a nonempty finite float vector of length n (any if n is None)."""
     x = np.asarray(x0, dtype=float)
     if x.ndim != 1 or n is not None and x.shape != (n,):
         raise ValueError(f"{what} must have shape ({'n' if n is None else n},), got {x.shape}")
+    if x.size == 0:
+        raise ValueError(f"{what} must be nonempty")
     if not np.isfinite(x).all():
         raise ValueError(f"{what} must be finite")
     return x
@@ -566,18 +564,18 @@ def _windowed_inflow(
         raise ValueError("eta must lie in (0, 1]")
     if not 0 <= k0 <= k0p <= k1:
         raise ValueError("need 0 <= k0 <= k0' <= k1")
-    Il, Jl = _cut_lists(cut, seq.n)
+    sub = np.ix_(*_cut_lists(cut, seq.n))
+    flow = 0.0
     for k in range(k0, k1 + 1):
-        diag = np.diag(seq.matrix(k).entries)
+        W = seq.matrix(k).entries
+        diag = np.diag(W)
         if np.any(diag < eta):
             bad = int(np.argmin(diag))
             raise ValueError(
                 f"diagonal weight {float(diag[bad])!r} of agent {bad} at step {k} is below eta={eta}"
             )
-    sub = np.ix_(Il, Jl)
-    flow = 0.0
-    for k in range(k0p, k1 + 1):
-        flow += float(seq.matrix(k).entries[sub].sum())
+        if k >= k0p:
+            flow += float(W[sub].sum())
     return flow
 
 

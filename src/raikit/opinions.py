@@ -12,7 +12,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .engine import Trajectory, _check_x0, _iterate
-from .graphs import Report
+from .graphs import Report, WeightedDigraph, reachable
 from .matrices import RowStochasticMatrix
 from .sequences import IndexedSequence, MatrixSequence
 from .tolerances import CLUSTER_TOL, CONSENSUS_TOL, FEAS_TOL, tail_window
@@ -305,57 +305,30 @@ def recover_structural_balance(seq: SignedMatrixSequence, horizon: int) -> Struc
     for every nonzero entry over the tail of the horizon (the last quarter;
     early transients are allowed to disagree).
 
-    Uses union-find with parity: each nonzero entry constrains the relative
-    sign of its endpoints; an odd negative cycle makes the constraints
-    unsatisfiable.  The gauge is canonicalized per connected component by
-    setting its smallest-index node to +1 (so a connected pattern is pinned
-    by d_0 = +1); unconstrained nodes default to +1."""
+    The tail is read once into the patterns of positive and negative
+    entries.  On the doubled graph, where node v + n stands for v with its
+    sign flipped, a positive entry joins its two ends and a negative one
+    joins each end to the other's flip; the constraints are unsatisfiable
+    iff some v reaches v + n.  The gauge is canonicalized per connected
+    component by setting its smallest-index node to +1 (so a connected
+    pattern is pinned by d_0 = +1); unconstrained nodes default to +1."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     n = seq.n
-    parent = list(range(n))
-    parity = [0] * n  # sign of node relative to its parent (0: same, 1: flipped)
-
-    def find(v: int) -> tuple[int, int]:
-        if parent[v] == v:
-            return v, 0
-        stack = []
-        u = v
-        while parent[u] != u:
-            stack.append(u)
-            u = parent[u]
-        root = u
-        # Walk back down from the root, accumulating parities and
-        # compressing every visited node directly onto the root.
-        cum = 0
-        for node in reversed(stack):
-            cum ^= parity[node]
-            parent[node] = root
-            parity[node] = cum
-        return root, parity[v]
-
-    def union(u: int, v: int, flip: int) -> bool:
-        ru, pu = find(u)
-        rv, pv = find(v)
-        if ru == rv:
-            return (pu ^ pv) == flip
-        parent[ru] = rv
-        parity[ru] = pu ^ pv ^ flip
-        return True
-
-    start = max(0, horizon - max(1, horizon // 4))
-    for k in range(start, horizon):
+    pos = np.zeros((n, n), dtype=bool)
+    neg = np.zeros((n, n), dtype=bool)
+    for k in range(max(0, horizon - max(1, horizon // 4)), horizon):
         A = seq.matrix(k)
-        for i in range(n):
-            for j in range(n):
-                if i != j and A[i, j] != 0.0:
-                    if not union(i, j, 0 if A[i, j] > 0 else 1):
-                        return StructuralBalanceReport(balanced=False, gauge=None)
-    anchor: dict[int, int] = {}
-    gauge = []
+        pos |= A > 0
+        neg |= A < 0  # never on the diagonal, which is nonnegative
+    signs = np.block([[pos, neg], [neg, pos]])
+    lifted = WeightedDigraph(n=2 * n, weights=signs | signs.T)  # a self-loop reaches nothing
+    gauge = [0] * n
     for v in range(n):
-        root, p = find(v)
-        if root not in anchor:
-            anchor[root] = p  # smallest v in the component anchors it to +1
-        gauge.append(1 if p == anchor[root] else -1)
+        if gauge[v] == 0:
+            reached = reachable(lifted, [v])
+            if v + n in reached:
+                return StructuralBalanceReport(balanced=False, gauge=None)
+            for u in reached:
+                gauge[u % n] = 1 if u < n else -1
     return StructuralBalanceReport(balanced=True, gauge=tuple(gauge))

@@ -306,14 +306,17 @@ def check_reciprocity(seq: MatrixSequence, M: int, T: int) -> ReciprocityReport:
         raise ValueError("need M >= 1 and T >= 0")
     n, p = seq.n, seq.period
     k0_count, exact = (p, True) if p > 0 else (_default_horizon(seq, M, T), False)
+    # each step's arcs, read once: one period, or the horizon if a response fits
+    span = p if p > 0 else (k0_count if T < k0_count else 0)
+    active = [seq.matrix(k).entries > 0 for k in range(span)]
     for k0 in range(k0_count):
         k1_stop = k0 + p - 1 if p > 0 else k0_count - 1 - T  # the response window fits
         seen = np.zeros((n, n), dtype=bool)  # self-loops count in and out, so weigh 0
         heard, t, size = seen.copy(), k0, None
         for k1 in range(k0, k1_stop + 1):
-            seen |= seq.matrix(k1).entries > 0
+            seen |= active[k1 % span]
             while t <= k1 + T:
-                heard |= seq.matrix(t).entries > 0
+                heard |= active[t % span]
                 t += 1
             last, size = size, (int(seen.sum()), int(heard.sum()))
             if size == last:

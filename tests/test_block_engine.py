@@ -522,18 +522,27 @@ def test_vectorized_decay_powers_differ_from_scalar_powers():
     assert np.array_equal(policy.draw(2, steps), scalar[:, None] * uniform)
 
 
-def test_block_check_names_first_bad_step():
-    bad = DisturbancePolicy(kind="adversarial_replay", replay=((0.0, 0.0), (0.0, -1.0)))
-    with pytest.raises(ValueError, match="^disturbance at step 1 has a negative entry$"):
-        bad.draw(2, 5)
-    with pytest.raises(ValueError, match="^disturbance at step 1 has a negative entry$"):
-        run_rai(MatrixSequence.constant(np.eye(2)), np.zeros(2), bad, 5)
-    assert bad.draw(2, 1).shape == (1, 2)  # the bad row is never reached
-    inf = DisturbancePolicy(kind="constant_random", scale=float("inf"))
-    with pytest.raises(ValueError, match="^disturbance at step 0 has a non-finite entry$"):
-        inf.draw(3, 4)
+def test_bad_policy_values_are_named_at_construction():
+    with pytest.raises(ValueError, match="^replay disturbance -1.0 is not a nonnegative real$"):
+        DisturbancePolicy(kind="adversarial_replay", replay=((0.0, 0.0), (0.0, -1.0)))
+    with pytest.raises(ValueError, match="^scale must be a finite number >= 0$"):
+        DisturbancePolicy(kind="constant_random", scale=float("inf"))
     with pytest.raises(ValueError, match="replay rows do not match"):
         DisturbancePolicy.adversarial_replay([[0.0, 1.0]]).draw(3, 0)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"kind": "vanishing_random", "scale": 0.1, "decay": 2.0}, "0 < decay < 1"),
+        ({"kind": "vanishing_random", "scale": 0.1}, "0 < decay < 1"),  # decay 1.0 never vanishes
+        ({"kind": "bogus"}, "^unknown disturbance kind 'bogus'$"),
+    ],
+    ids=["decay_above_one", "default_decay", "unknown_kind"],
+)
+def test_policy_built_directly_is_checked_at_construction(fields, message):
+    with pytest.raises(ValueError, match=message):
+        DisturbancePolicy(**fields)
 
 
 @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf")])

@@ -123,6 +123,19 @@ def test_invalid_parameters_exit_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: validation:")
 
 
+def test_empty_initial_vector_exit_two(tmp_path, capsys):
+    sc = {
+        "schema_version": SCHEMA_VERSION,
+        "name": "empty_hk",
+        "kind": "simulate_hk",
+        "parameters": {"x0": [], "epsilon": 1.0},
+    }
+    ref = _write(tmp_path, sc)
+    assert main(["--out-dir", str(tmp_path), "simulate", ref]) == 2
+    assert capsys.readouterr().err == "error: validation: initial vector must be nonempty\n"
+    assert not (tmp_path / "empty_hk.verdict.json").exists()
+
+
 def test_delay_period_not_matching_tables_exit_two(tmp_path, capsys):
     sc = {
         "schema_version": SCHEMA_VERSION,

@@ -360,3 +360,23 @@ def test_uniform_cut_balance_above_enumeration_limit(monkeypatch):
     rec = check_reciprocity(failing, M=1, T=0)
     assert not rec.holds and rec.exact
     assert (rec.violating_cut, rec.violating_window) == (Cut.of([0], n), (0, 0))
+
+
+def test_reciprocity_reads_each_step_once(monkeypatch):
+    """W(k) is read once per step in range, not once per window: node 7 is
+    never touched, so B never becomes strongly connected, and the symmetric
+    arcs answer every cut, so every window start runs to the horizon."""
+    rng = np.random.default_rng(200)
+    mats = []
+    for _ in range(200):
+        w = np.zeros((8, 8))
+        w[:7, :7] = _pattern(rng.random(49).tolist(), 7, symmetric=True)
+        mats.append(_stochastic(w))
+    lookups = []
+    read = MatrixSequence.matrix
+    monkeypatch.setattr(MatrixSequence, "matrix", lambda seq, k: lookups.append(k) or read(seq, k))
+    for seq in (MatrixSequence.explicit(mats), MatrixSequence.explicit(mats[:7], period=7)):
+        lookups.clear()
+        assert check_reciprocity(seq, M=2, T=1).holds
+        assert len(lookups) <= _default_horizon(seq, 2, 1)
+        assert sorted(set(lookups)) == list(range(len(seq.matrices)))

@@ -76,12 +76,11 @@ def test_emitters_deterministic_per_seed():
     assert not np.array_equal(t1.states, other.states)
 
 
-def test_negative_disturbance_rejected_at_runtime():
-    bad = DisturbancePolicy(
-        kind="adversarial_replay", scale=0.0, decay=1.0, replay=((-0.5, 0.0),), seed=0
-    )
-    with pytest.raises(ValueError):
-        run_rai(MatrixSequence.constant(np.eye(2)), np.zeros(2), bad, 3)
+def test_negative_disturbance_rejected_at_construction():
+    with pytest.raises(ValueError, match="not a nonnegative real"):
+        DisturbancePolicy(
+            kind="adversarial_replay", scale=0.0, decay=1.0, replay=((-0.5, 0.0),), seed=0
+        )
 
 
 def test_max_never_increases_under_any_disturbance():

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raikit import (
     HkConfig,
     MatrixSequence,
     SignedMatrixSequence,
+    StructuralBalanceReport,
     hk_weights,
     modulus_consensus_verdict,
     recover_structural_balance,
@@ -82,6 +85,11 @@ def test_hk_induced_residuals_feasible():
         cfg = HkConfig(epsilon=0.8, truth=1.0, awareness=tuple(rng.random(6) * 0.5))
         traj, _ = run_hk(x0, cfg, 300)
         assert traj.feasibility_margin() >= -1e-12
+
+
+def test_empty_initial_vector_is_rejected():
+    with pytest.raises(ValueError, match="^initial vector must be nonempty$"):
+        run_hk([], HkConfig(1.0), 10)
 
 
 def test_signed_sequence_validation():
@@ -174,3 +182,140 @@ def test_signed_sequence_storage_checks_and_generator_cache():
     seq = SignedMatrixSequence.from_generator(gen, n=2, period=2)
     assert seq.matrix(1) is seq.matrix(5)
     assert calls == [1]
+
+
+# ---------------------------------------------------------------------------
+# Structural balance on the doubled sign graph against the union-find with
+# parity that it replaced (kept here as the reference oracle).
+
+
+def _reference_structural_balance(seq, horizon):
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    n = seq.n
+    parent = list(range(n))
+    parity = [0] * n  # sign of node relative to its parent (0: same, 1: flipped)
+
+    def find(v):
+        if parent[v] == v:
+            return v, 0
+        stack = []
+        u = v
+        while parent[u] != u:
+            stack.append(u)
+            u = parent[u]
+        root = u
+        # Walk back down from the root, accumulating parities and
+        # compressing every visited node directly onto the root.
+        cum = 0
+        for node in reversed(stack):
+            cum ^= parity[node]
+            parent[node] = root
+            parity[node] = cum
+        return root, parity[v]
+
+    def union(u, v, flip):
+        ru, pu = find(u)
+        rv, pv = find(v)
+        if ru == rv:
+            return (pu ^ pv) == flip
+        parent[ru] = rv
+        parity[ru] = pu ^ pv ^ flip
+        return True
+
+    for k in range(max(0, horizon - max(1, horizon // 4)), horizon):
+        A = seq.matrix(k)
+        for i in range(n):
+            for j in range(n):
+                if i != j and A[i, j] != 0.0:
+                    if not union(i, j, 0 if A[i, j] > 0 else 1):
+                        return StructuralBalanceReport(balanced=False, gauge=None)
+    anchor = {}
+    gauge = []
+    for v in range(n):
+        root, p = find(v)
+        if root not in anchor:
+            anchor[root] = p  # smallest v in the component anchors it to +1
+        gauge.append(1 if p == anchor[root] else -1)
+    return StructuralBalanceReport(balanced=True, gauge=tuple(gauge))
+
+
+def _magnitudes(rng, n, density):
+    raw = rng.random((n, n)) * (rng.random((n, n)) < density)
+    np.fill_diagonal(raw, rng.random(n) + 0.1)
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+def _signed_steps(rng, n, count, shape):
+    """``count`` signed matrices: random signs, a balanced D W D with an
+    optional flipped entry, or balanced steps of two gauges that conflict."""
+    density = rng.uniform(0.1, 1.0)
+    gauges = np.where(rng.random((2, n)) < 0.5, -1.0, 1.0)
+    mats = []
+    for _ in range(count):
+        W = _magnitudes(rng, n, density)
+        if shape == "random":
+            signs = np.where(rng.random((n, n)) < rng.random(), -1.0, 1.0)
+            np.fill_diagonal(signs, 1.0)
+            mats.append(signs * W)
+            continue
+        d = gauges[int(rng.integers(2))] if shape == "conflict" else gauges[0]
+        A = d[:, None] * W * d[None, :]
+        off = np.argwhere(A - np.diag(np.diag(A)))
+        if shape == "flipped" and len(off) and rng.random() < 0.5:
+            i, j = off[rng.integers(len(off))]
+            A[i, j] = -A[i, j]
+        mats.append(A)
+    return mats
+
+
+@st.composite
+def _balance_cases(draw):
+    n = draw(st.sampled_from(range(1, 11)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    horizon = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(["random", "balanced", "flipped", "conflict"]))
+    storage = draw(st.sampled_from(["periodic", "finite", "generator"]))
+    if storage == "finite":
+        mats = _signed_steps(rng, n, horizon + draw(st.integers(0, 3)), shape)
+        return SignedMatrixSequence.explicit(mats), horizon
+    period = draw(st.integers(1, 4))
+    mats = _signed_steps(rng, n, period, shape)
+    if storage == "periodic":
+        return SignedMatrixSequence.explicit(mats, period=period), horizon
+    return SignedMatrixSequence.from_generator(lambda k: mats[k % period], n), horizon
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_balance_cases())
+def test_structural_balance_matches_union_find(case):
+    seq, horizon = case
+    got = recover_structural_balance(seq, horizon)
+    want = _reference_structural_balance(seq, horizon)
+    assert got == want
+    assert got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("shape", ["balanced", "flipped", "conflict", "random"])
+def test_structural_balance_matches_union_find_at_64_nodes(shape):
+    rng = np.random.default_rng(64)
+    seq = SignedMatrixSequence.explicit(_signed_steps(rng, 64, 3, shape), period=3)
+    got, want = recover_structural_balance(seq, 40), _reference_structural_balance(seq, 40)
+    assert got == want
+    assert got.to_json() == want.to_json()
+
+
+def test_structural_balance_past_the_end_of_a_finite_sequence_raises():
+    """The whole tail is read before anything is decided, so a horizon past
+    the end raises whether or not a sign conflict comes first.  The union-find
+    returned "unbalanced" when a conflict came before the missing step."""
+    ring = 0.5 * np.eye(4) + 0.5 * np.roll(np.eye(4), 1, axis=1)
+    odd = ring.copy()
+    odd[0, 1] = -odd[0, 1]
+    for mats in ([ring] * 10, [ring] * 9 + [odd]):
+        with pytest.raises(ValueError, match="has no term k=10"):
+            recover_structural_balance(SignedMatrixSequence.explicit(mats), 12)
+    with pytest.raises(ValueError, match="has no term k=10"):
+        _reference_structural_balance(SignedMatrixSequence.explicit([ring] * 10), 12)
+    seq = SignedMatrixSequence.explicit([ring] * 9 + [odd])
+    assert not _reference_structural_balance(seq, 12).balanced
