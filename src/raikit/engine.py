@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 
-_CSV_BLOCK_ROWS = 1024  # rows per string of Trajectory.csv_blocks: about 1 MB at n = 4
+_CSV_BLOCK_ROWS = 256  # rows per string of Trajectory.csv_blocks: about 60 KB of text at n = 4
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -111,22 +111,22 @@ class Trajectory(Report):
         return float(np.max(np.diff(self.M)))
 
     def csv_blocks(self) -> Iterator[str]:
-        """The CSV text in pieces: the header line, then one string per
-        block of at most _CSV_BLOCK_ROWS rows.  Each value is its float
-        repr; ``%.0s`` leaves the last row's n delta fields empty."""
+        """The CSV text: the header line, then one string per block of at most
+        _CSV_BLOCK_ROWS rows, which takes one repr per distinct float bit pattern."""
         n, steps = self.n, self.steps
         cols = [f"x_{i}" for i in range(n)] + [f"delta_{i}" for i in range(n)]
         yield ",".join(["k"] + cols + ["M", "m", "d"]) + "\n"
-        row = "%d," + ",".join(["%r"] * (2 * n + 3)) + "\n"
-        last = "%d," + ",".join(["%r"] * n + ["%.0s"] * n + ["%r"] * 3) + "\n"
         for a in range(0, steps + 1, _CSV_BLOCK_ROWS):
             b = min(a + _CSV_BLOCK_ROWS, steps + 1)
-            table = np.zeros((b - a, 2 * n + 3))
-            table[:, :n] = self.states[a:b]
-            table[: min(b, steps) - a, n : 2 * n] = self.residuals[a:b]
-            table[:, 2 * n :] = np.stack((self.M[a:b], self.m[a:b], self.d[a:b]), axis=1)
-            fmts = [row] * (min(b, steps) - a) + [last] * (b > steps)
-            yield "".join([f % (k, *r) for f, k, r in zip(fmts, range(a, b), table.tolist())])
+            table = np.zeros((b - a, 2 * n + 4))  # column 0 is k, written as text below
+            table[:, 1 : n + 1] = self.states[a:b]
+            table[: min(b, steps) - a, n + 1 : 2 * n + 1] = self.residuals[a:b]
+            table[:, 2 * n + 1 :] = np.stack((self.M[a:b], self.m[a:b], self.d[a:b]), axis=1)
+            bits, inverse = np.unique(table.view(np.int64), return_inverse=True)
+            text = np.array([*map(repr, bits.view(float).tolist())], object)[inverse.reshape(b - a, -1)]
+            text[:, 0] = [*map(str, range(a, b))]
+            text[min(b, steps) - a :, n + 1 : 2 * n + 1] = ""  # the last state has no delta
+            yield "\n".join([*map(",".join, text.tolist()), ""])
 
     def to_csv(self) -> str:
         return "".join(self.csv_blocks())
@@ -147,8 +147,9 @@ class DisturbancePolicy:
     kind "constant_random": scale * uniform[0,1]^n, non-vanishing.
     kind "adversarial_replay": an explicit table of vectors, cycled when the
     run is longer than the table (the replayed counterexamples are periodic).
-    Random kinds are deterministic given ``seed``.  The fields that the kind
-    reads are checked at construction; a run draws its (steps, n) block once.
+    Random kinds are deterministic given ``seed``.  The seed and the fields
+    that the kind reads are checked at construction; a run draws its
+    (steps, n) block once.
     """
 
     kind: str
@@ -158,6 +159,8 @@ class DisturbancePolicy:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.kind == "vanishing_random":
             if not np.isfinite(self.scale) or self.scale < 0 or not 0 < self.decay < 1:
                 raise ValueError("need a finite scale >= 0 and 0 < decay < 1")

@@ -302,8 +302,9 @@ class StructuralBalanceReport(Report):
 
 def recover_structural_balance(seq: SignedMatrixSequence, horizon: int) -> StructuralBalanceReport:
     """Search for a sign vector d in {-1,+1}^n with sgn a_ij(k) = d_i d_j
-    for every nonzero entry over the tail of the horizon (the last quarter;
-    early transients are allowed to disagree).
+    for every nonzero entry over the tail of the horizon (the last quarter,
+    and at least one whole period of a periodic sequence, ending at
+    max(horizon, period); early transients are allowed to disagree).
 
     The tail is read once into the patterns of positive and negative
     entries.  On the doubled graph, where node v + n stands for v with its
@@ -314,10 +315,10 @@ def recover_structural_balance(seq: SignedMatrixSequence, horizon: int) -> Struc
     pattern is pinned by d_0 = +1); unconstrained nodes default to +1."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    n = seq.n
+    n, p = seq.n, seq.period
     pos = np.zeros((n, n), dtype=bool)
     neg = np.zeros((n, n), dtype=bool)
-    for k in range(max(0, horizon - max(1, horizon // 4)), horizon):
+    for k in range(max(horizon, p) - max(1, horizon // 4, p), max(horizon, p)):
         A = seq.matrix(k)
         pos |= A > 0
         neg |= A < 0  # never on the diagonal, which is nonnegative

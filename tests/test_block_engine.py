@@ -537,12 +537,24 @@ def test_bad_policy_values_are_named_at_construction():
         ({"kind": "vanishing_random", "scale": 0.1, "decay": 2.0}, "0 < decay < 1"),
         ({"kind": "vanishing_random", "scale": 0.1}, "0 < decay < 1"),  # decay 1.0 never vanishes
         ({"kind": "bogus"}, "^unknown disturbance kind 'bogus'$"),
+        ({"kind": "constant_random", "scale": 0.1, "seed": -1}, "^seed must be an integer >= 0, got -1$"),
+        ({"kind": "constant_random", "scale": 0.1, "seed": 1.5}, "^seed must be an integer >= 0, got 1.5$"),
+        ({"kind": "vanishing_random", "scale": 0.1, "decay": 0.5, "seed": True}, "got True$"),
+        ({"kind": "zero", "seed": "7"}, "^seed must be an integer >= 0, got '7'$"),
     ],
-    ids=["decay_above_one", "default_decay", "unknown_kind"],
+    ids=["decay_above_one", "default_decay", "unknown_kind", "negative_seed", "float_seed",
+         "bool_seed", "string_seed"],
 )
 def test_policy_built_directly_is_checked_at_construction(fields, message):
     with pytest.raises(ValueError, match=message):
         DisturbancePolicy(**fields)
+
+
+def test_numpy_integer_seed_draws_like_its_int():
+    policy = DisturbancePolicy.constant_random(0.1, seed=np.int64(3))
+    assert np.array_equal(policy.draw(2, 5), DisturbancePolicy.constant_random(0.1, seed=3).draw(2, 5))
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+        DisturbancePolicy.constant_random(0.1, seed=np.int64(-3))
 
 
 @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf")])
@@ -862,6 +874,43 @@ def test_csv_blocks_match_the_row_loop(traj):
     assert [b.count("\n") for b in blocks[1:]] == [min(B, rows - a) for a in range(0, rows, B)]
 
 
+def _assert_csv_matches_the_row_loop(traj):
+    want = _reference_csv(traj).splitlines(keepends=True)
+    assert [line for b in traj.csv_blocks() for line in b.splitlines(keepends=True)] == want
+
+
+def test_csv_keeps_signed_zeros_of_one_column_apart():
+    # Both zeros in x_0, delta_0 and M of one block share no repr.
+    x = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0]])
+    traj = Trajectory(
+        states=x, residuals=np.array([[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]),
+        M=x[:, 0], m=x[:, 1], d=np.array([0.0, -0.0, 0.0, float("inf")]),
+    )
+    _assert_csv_matches_the_row_loop(traj)
+    assert traj.to_csv().splitlines()[2] == "1,-0.0,1.0,0.0,-0.0,-0.0,1.0,-0.0"
+
+
+def test_csv_of_a_converged_tail_repeats_one_repr_per_row():
+    # From step 1 on every state is the one consensus value, the deltas
+    # and the diameter are 0.0, and M and m repeat the state.
+    seq = MatrixSequence.constant(np.full((3, 3), 1 / 3))
+    traj = run_rai(seq, [0.1, 0.7, 0.3], DisturbancePolicy.zero(), 3 * _CSV_BLOCK_ROWS)
+    assert len(set(traj.states[1:].ravel().tolist())) == 1
+    _assert_csv_matches_the_row_loop(traj)
+
+
+def test_csv_of_all_distinct_values_in_several_blocks():
+    rng = np.random.default_rng(3000)
+    steps, n = 2999, 7
+    traj = Trajectory(
+        states=rng.standard_normal((steps + 1, n)), residuals=rng.random((steps, n)),
+        M=rng.standard_normal(steps + 1), m=rng.standard_normal(steps + 1), d=rng.random(steps + 1),
+    )
+    cells = np.concatenate([traj.states.ravel(), traj.residuals.ravel(), traj.M, traj.m, traj.d])
+    assert np.unique(cells).size == cells.size
+    _assert_csv_matches_the_row_loop(traj)
+
+
 def test_csv_of_a_long_run_is_written_in_bounded_memory(tmp_path):
     # The whole text of this run is 11.7 MB; a writer that builds it in
     # one string peaks near 38 MB.
@@ -875,5 +924,5 @@ def test_csv_of_a_long_run_is_written_in_bounded_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4e6, f"writing the CSV peaked at {peak / 1e6:.1f} MB"
+    assert peak < 2e6, f"writing the CSV peaked at {peak / 1e6:.1f} MB"
     assert (tmp_path / "t.csv").stat().st_size > 8e6

@@ -327,6 +327,39 @@ def test_nan_disturbance_scale_exit_two(tmp_path, capsys, kind, message):
     assert not (tmp_path / "nan_scale.verdict.json").exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_bad_policy_seed_exit_two(tmp_path, capsys, seed):
+    """Rejected when the policy is built, with the policy's own message."""
+    sc = _rai_scenario(name="bad_seed")
+    sc["parameters"]["policy"] = {"kind": "constant_random", "scale": 0.1, "seed": seed}
+    ref = _write(tmp_path, sc)
+    assert main(["--out-dir", str(tmp_path), "simulate", ref]) == 2
+    assert capsys.readouterr().err == f"error: validation: seed must be an integer >= 0, got {seed}\n"
+    assert not (tmp_path / "bad_seed.verdict.json").exists()
+
+
+def test_altafini_default_balance_horizon_reads_the_whole_period(tmp_path):
+    """The default horizon is the period.  Its last quarter alone (step 3,
+    the identity) missed the sign conflict between steps 0 and 1."""
+    step0, step1, eye = np.eye(3), np.eye(3), np.eye(3)
+    step0[0, :2] = [0.5, -0.5]
+    step1[0, :2] = [0.5, 0.5]
+    sc = {
+        "schema_version": SCHEMA_VERSION,
+        "name": "period_conflict",
+        "kind": "simulate_altafini",
+        "parameters": {
+            "matrices": [m.tolist() for m in (step0, step1, eye, eye)],
+            "period": 4,
+            "x0": [1.0, -0.5, 0.25],
+            "steps": 200,
+        },
+    }
+    run_scenario(_write(tmp_path, sc), out_dir=tmp_path)
+    v = json.loads((tmp_path / "period_conflict.verdict.json").read_text())
+    assert v["balance"] == {"balanced": False, "gauge": None}
+
+
 def test_analyze_graph_components_are_sorted(tmp_path):
     """Nodes 1 and 8 form the only nontrivial component; each component is
     written sorted, in the order classification and aperiodic_components use."""

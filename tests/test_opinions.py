@@ -291,7 +291,9 @@ def _balance_cases(draw):
 def test_structural_balance_matches_union_find(case):
     seq, horizon = case
     got = recover_structural_balance(seq, horizon)
-    want = _reference_structural_balance(seq, horizon)
+    # A periodic sequence's tail spans at least one whole period; the
+    # union-find reads exactly one period at horizon 4 * period.
+    want = _reference_structural_balance(seq, max(horizon, 4 * seq.period))
     assert got == want
     assert got.to_json() == want.to_json()
 
@@ -319,3 +321,16 @@ def test_structural_balance_past_the_end_of_a_finite_sequence_raises():
         _reference_structural_balance(SignedMatrixSequence.explicit([ring] * 10), 12)
     seq = SignedMatrixSequence.explicit([ring] * 9 + [odd])
     assert not _reference_structural_balance(seq, 12).balanced
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 4, 5, 16])
+def test_structural_balance_reads_a_whole_period(horizon):
+    """Period 4: a_01 < 0 at step 0, a_01 > 0 at step 1, the identity at
+    steps 2 and 3, so no gauge fits.  The last quarter of horizon 4 alone
+    (step 3) gave the gauge (1, 1, 1)."""
+    step0, step1 = np.eye(3), np.eye(3)
+    step0[0, :2] = [0.5, -0.5]
+    step1[0, :2] = [0.5, 0.5]
+    seq = SignedMatrixSequence.explicit([step0, step1, np.eye(3), np.eye(3)], period=4)
+    report = recover_structural_balance(seq, horizon)
+    assert not report.balanced and report.gauge is None
