@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import reprlib
 import sys
 from pathlib import Path
 
@@ -59,15 +60,6 @@ from .solvers import ConvexProjector, MultiAgentProblem, solve
 from .tolerances import MAX_ITERS, SOLVER_TOL, hk_step_cap
 
 SCHEMA_VERSION = 1
-KINDS = (
-    "analyze_graph",
-    "analyze_matrix",
-    "check_sequence",
-    "simulate_rai",
-    "simulate_hk",
-    "simulate_altafini",
-    "solve_fixedpoint",
-)
 SUBCOMMAND_KINDS = {
     "analyze": ("analyze_graph", "analyze_matrix"),
     "check": ("check_sequence",),
@@ -86,10 +78,30 @@ class ScenarioError(Exception):
         self.code = code
 
 
-def _require(params: dict, key: str):
-    if key not in params:
-        raise ScenarioError("schema", f"missing parameter {key!r}")
-    return params[key]
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "number": (int, float), "integer": int}
+_REQUIRED = object()
+
+
+def _is_json(value, kind: str) -> bool:
+    if kind == "integer array":
+        return isinstance(value, list) and all(_is_json(v, kind) or _is_json(v, "integer") for v in value)
+    return isinstance(value, _TYPES[kind]) and (kind == "boolean" or not isinstance(value, bool))
+
+
+def _field(obj, key: str, kind: str, default=_REQUIRED):
+    """``obj[key]``, where ``obj`` must be a JSON object and the value a JSON
+    ``kind``: only a "boolean" may be a bool, an "integer" is never a float,
+    and an "integer array" holds integers at any depth, as in [[0, 1]].
+    ``default`` stands in for an absent key; without one it is an error."""
+    if not isinstance(obj, dict):
+        raise ScenarioError("schema", f"expected an object with {key!r}, got {reprlib.repr(obj)}")
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ScenarioError("schema", f"missing parameter {key!r}")
+        return default
+    if not _is_json(obj[key], kind):
+        raise ScenarioError("schema", f"{key!r} must be a JSON {kind}, got {reprlib.repr(obj[key])}")
+    return obj[key]
 
 
 def sequence_from_json_obj(obj: dict) -> MatrixSequence:
@@ -98,23 +110,23 @@ def sequence_from_json_obj(obj: dict) -> MatrixSequence:
     truth-free bounded-confidence run, frozen once the run freezes)."""
     kind = obj.get("kind")
     if kind == "constant":
-        return MatrixSequence.constant(np.asarray(obj["matrix"], dtype=float))
+        return MatrixSequence.constant(np.asarray(_field(obj, "matrix", "array"), dtype=float))
     if kind == "explicit":
-        mats = [np.asarray(m, dtype=float) for m in obj["matrices"]]
-        return MatrixSequence.explicit(mats, period=int(obj.get("period", 0)))
+        mats = [np.asarray(m, dtype=float) for m in _field(obj, "matrices", "array")]
+        return MatrixSequence.explicit(mats, period=_field(obj, "period", "integer", 0))
     if kind == "gossip":
         return gossip_sequence(
-            n=int(obj["n"]),
-            schedule=[(int(j), int(i)) for j, i in obj["schedule"]],
+            n=_field(obj, "n", "integer"),
+            schedule=_field(obj, "schedule", "integer array"),
             alphas=obj["alphas"],
-            fire_times=[int(t) for t in obj["fire_times"]],
-            eta=float(obj.get("eta", 0.05)),
-            period=int(obj.get("period", 0)),
+            fire_times=_field(obj, "fire_times", "integer array"),
+            eta=float(_field(obj, "eta", "number", 0.05)),
+            period=_field(obj, "period", "integer", 0),
         )
     if kind == "hk_induced":
-        epsilon = float(obj["epsilon"])
-        x0 = np.asarray(obj["x0"], dtype=float)
-        max_steps = int(obj.get("max_steps", hk_step_cap(x0.shape[0])))
+        epsilon = float(_field(obj, "epsilon", "number"))
+        x0 = np.asarray(_field(obj, "x0", "array"), dtype=float)
+        max_steps = _field(obj, "max_steps", "integer", hk_step_cap(x0.shape[0]))
         traj, _ = run_hk(x0, HkConfig(epsilon=epsilon), max_steps)
         states = traj.states
         last = states.shape[0] - 1
@@ -135,26 +147,28 @@ def _policy_from(obj, default_seed: int) -> DisturbancePolicy:
 
 
 def _projector_from(obj: dict) -> ConvexProjector:
-    kind = obj.get("kind")
+    kind = _field(obj, "kind", "string")
     if kind == "hyperplane":
-        return ConvexProjector.hyperplane(obj["a"], obj["b"])
+        return ConvexProjector.hyperplane(_field(obj, "a", "array"), _field(obj, "b", "number"))
     if kind == "halfspace":
-        return ConvexProjector.halfspace(obj["a"], obj["b"])
+        return ConvexProjector.halfspace(_field(obj, "a", "array"), _field(obj, "b", "number"))
     if kind == "ball":
-        return ConvexProjector.ball(obj["center"], obj["r"])
+        return ConvexProjector.ball(_field(obj, "center", "array"), _field(obj, "r", "number"))
     if kind == "box":
-        return ConvexProjector.box(obj["lo"], obj["hi"])
+        return ConvexProjector.box(_field(obj, "lo", "array"), _field(obj, "hi", "array"))
     if kind == "affine_subspace":
-        return ConvexProjector.affine_subspace(obj["A"], obj["b"])
+        return ConvexProjector.affine_subspace(_field(obj, "A", "array"), _field(obj, "b", "array"))
     raise ScenarioError("schema", f"unknown set kind {kind!r}")
 
 
 def _graph_from(params: dict) -> WeightedDigraph:
     if "graph" in params:
-        g = params["graph"]
-        return WeightedDigraph(n=int(g["n"]), weights=np.asarray(g["weights"], dtype=float))
+        g = _field(params, "graph", "object")
+        weights = np.asarray(_field(g, "weights", "array"), dtype=float)
+        return WeightedDigraph(n=_field(g, "n", "integer"), weights=weights)
     if "edgelist" in params:
-        return graph_from_edgelist(params["edgelist"], n=params.get("n"))
+        n = _field(params, "n", "integer", None)
+        return graph_from_edgelist(_field(params, "edgelist", "string"), n=n)
     raise ScenarioError("schema", "analyze_graph needs 'graph' or 'edgelist'")
 
 
@@ -175,10 +189,10 @@ def _run_analyze_graph(params: dict, seed: int) -> tuple[dict, int, dict]:
 
 def _run_analyze_matrix(params: dict, seed: int) -> tuple[dict, int, dict]:
     results = []
-    for entry in _require(params, "matrices"):
-        name = entry.get("name", f"matrix_{len(results)}")
-        rows = np.asarray(_require(entry, "rows"), dtype=float)
-        if entry.get("substochastic", False):
+    for entry in _field(params, "matrices", "array"):
+        name = _field(entry, "name", "string", f"matrix_{len(results)}")
+        rows = np.asarray(_field(entry, "rows", "array"), dtype=float)
+        if _field(entry, "substochastic", "boolean", False):
             A = SubstochasticMatrix(n=rows.shape[0], entries=rows)
             results.append(
                 {
@@ -203,10 +217,10 @@ def _run_analyze_matrix(params: dict, seed: int) -> tuple[dict, int, dict]:
 
 
 def _run_check_sequence(params: dict, seed: int) -> tuple[dict, int, dict]:
-    seq = sequence_from_json_obj(_require(params, "sequence"))
-    M = int(params.get("M", 1))
-    T = int(params.get("T", 0))
-    L = int(params.get("L", 0))
+    seq = sequence_from_json_obj(_field(params, "sequence", "object"))
+    M = _field(params, "M", "integer", 1)
+    T = _field(params, "T", "integer", 0)
+    L = _field(params, "L", "integer", 0)
     pg = persistent_graph(seq)
     reciprocity = check_reciprocity(seq, M, T)
     sums, exact = _window_sums(seq, L)  # shared by both balance checks
@@ -221,15 +235,15 @@ def _run_check_sequence(params: dict, seed: int) -> tuple[dict, int, dict]:
 
 
 def _run_simulate_rai(params: dict, seed: int) -> tuple[dict, int, dict]:
-    seq = sequence_from_json_obj(_require(params, "sequence"))
-    steps = int(_require(params, "steps"))
-    policy = _policy_from(params.get("policy"), seed)
+    seq = sequence_from_json_obj(_field(params, "sequence", "object"))
+    steps = _field(params, "steps", "integer")
+    policy = _policy_from(_field(params, "policy", "object", None), seed)
     if "delays" in params:
-        delays = DelaySpec.from_json_obj(params["delays"])
-        history = [np.asarray(h, dtype=float) for h in _require(params, "history")]
+        delays = DelaySpec.from_json_obj(_field(params, "delays", "object"))
+        history = [np.asarray(h, dtype=float) for h in _field(params, "history", "array")]
         traj = run_delayed_rai(seq, delays, history, policy, steps)
     else:
-        x0 = np.asarray(_require(params, "x0"), dtype=float)
+        x0 = np.asarray(_field(params, "x0", "array"), dtype=float)
         traj = run_rai(seq, x0, policy, steps)
     verdict = classify(traj)
     code = 0 if verdict.all_converged() else 3
@@ -237,13 +251,13 @@ def _run_simulate_rai(params: dict, seed: int) -> tuple[dict, int, dict]:
 
 
 def _run_simulate_hk(params: dict, seed: int) -> tuple[dict, int, dict]:
-    x0 = np.asarray(_require(params, "x0"), dtype=float)
+    x0 = np.asarray(_field(params, "x0", "array"), dtype=float)
     cfg = HkConfig(
-        epsilon=float(_require(params, "epsilon")),
-        truth=float(params.get("truth", 0.0)),
-        awareness=tuple(params.get("awareness", ())),
+        epsilon=float(_field(params, "epsilon", "number")),
+        truth=float(_field(params, "truth", "number", 0.0)),
+        awareness=tuple(_field(params, "awareness", "array", ())),
     )
-    max_steps = int(params.get("max_steps", hk_step_cap(x0.shape[0])))
+    max_steps = _field(params, "max_steps", "integer", hk_step_cap(x0.shape[0]))
     traj, report = run_hk(x0, cfg, max_steps)
     # A run that froze is settled and is not classified.
     verdict = None if report.terminated_at is not None else classify(traj)
@@ -256,14 +270,14 @@ def _run_simulate_hk(params: dict, seed: int) -> tuple[dict, int, dict]:
 
 
 def _run_simulate_altafini(params: dict, seed: int) -> tuple[dict, int, dict]:
-    mats = [np.asarray(m, dtype=float) for m in _require(params, "matrices")]
-    seq = SignedMatrixSequence.explicit(mats, period=int(params.get("period", len(mats))))
-    x0 = np.asarray(_require(params, "x0"), dtype=float)
-    steps = int(_require(params, "steps"))
+    mats = [np.asarray(m, dtype=float) for m in _field(params, "matrices", "array")]
+    seq = SignedMatrixSequence.explicit(mats, period=_field(params, "period", "integer", len(mats)))
+    x0 = np.asarray(_field(params, "x0", "array"), dtype=float)
+    steps = _field(params, "steps", "integer")
     traj = run_altafini(seq, x0, steps)
     verdict = classify(traj)
     modulus = modulus_consensus_verdict(traj)
-    balance = recover_structural_balance(seq, int(params.get("balance_horizon", seq.period or 1)))
+    balance = recover_structural_balance(seq, _field(params, "balance_horizon", "integer", seq.period or 1))
     code = 0 if verdict.all_converged() else 3
     return (
         {
@@ -277,18 +291,18 @@ def _run_simulate_altafini(params: dict, seed: int) -> tuple[dict, int, dict]:
 
 
 def _run_solve_fixedpoint(params: dict, seed: int) -> tuple[dict, int, dict]:
-    maps = tuple(_projector_from(s) for s in _require(params, "sets"))
-    W = sequence_from_json_obj(_require(params, "W"))
+    maps = tuple(_projector_from(s) for s in _field(params, "sets", "array"))
+    W = sequence_from_json_obj(_field(params, "W", "object"))
     problem = MultiAgentProblem(
         maps=maps,
         W=W,
-        algorithm=_require(params, "algorithm"),
-        initial=np.asarray(_require(params, "initial"), dtype=float),
+        algorithm=_field(params, "algorithm", "string"),
+        initial=np.asarray(_field(params, "initial", "array"), dtype=float),
     )
     result = solve(
         problem,
-        max_iters=int(params.get("max_iters", MAX_ITERS)),
-        tol=float(params.get("tol", SOLVER_TOL)),
+        max_iters=_field(params, "max_iters", "integer", MAX_ITERS),
+        tol=float(_field(params, "tol", "number", SOLVER_TOL)),
     )
     code = 0 if result.converged else 3
     return {"result": result.to_json_obj()}, code, {"solve_result": result}
@@ -303,6 +317,7 @@ _RUNNERS = {
     "simulate_altafini": _run_simulate_altafini,
     "solve_fixedpoint": _run_solve_fixedpoint,
 }
+KINDS = tuple(_RUNNERS)
 
 
 def _load_scenario(ref: str) -> dict:
@@ -345,21 +360,21 @@ def run_scenario(
                 "schema",
                 f"kind {scenario['kind']!r} is not handled by this subcommand",
             )
-        eff_seed = int(scenario.get("seed", 0)) if seed is None else int(seed)
+        eff_seed = _field(scenario, "seed", "integer", 0) if seed is None else int(seed)
+        name = scenario["name"]
+        outputs = _field(scenario, "outputs", "object", {})
+        exts = {"verdict": "json", "trajectory": "json" if fmt == "json" else "csv", "history": "csv"}
+        paths = {key: _field(outputs, key, "string", f"{name}.{key}.{ext}") for key, ext in exts.items()}
         try:
             # An overflow ends in the one-line error below, not in warnings.
             with np.errstate(over="ignore", invalid="ignore"):
                 verdict_body, code, artifacts = _RUNNERS[scenario["kind"]](
                     scenario["parameters"], eff_seed
                 )
-        except ScenarioError:
-            raise
         except (ValueError, KeyError, TypeError) as e:
             raise ScenarioError("validation", str(e)) from e
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        name = scenario["name"]
-        outputs = scenario.get("outputs", {})
         verdict_obj = {
             "schema_version": SCHEMA_VERSION,
             "name": name,
@@ -368,20 +383,16 @@ def run_scenario(
             "exit_code": code,
         }
         verdict_obj.update(verdict_body)
-        verdict_path = out / outputs.get("verdict", f"{name}.verdict.json")
-        verdict_path.write_text(dump_json(verdict_obj), newline="\n")
+        (out / paths["verdict"]).write_text(dump_json(verdict_obj), newline="\n")
         if "trajectory" in artifacts:
             traj = artifacts["trajectory"]
             if fmt == "json":
-                tpath = out / outputs.get("trajectory", f"{name}.trajectory.json")
-                tpath.write_text(dump_json(traj.to_json_obj()), newline="\n")
+                (out / paths["trajectory"]).write_text(dump_json(traj.to_json_obj()), newline="\n")
             else:
-                tpath = out / outputs.get("trajectory", f"{name}.trajectory.csv")
-                with tpath.open("w", newline="\n") as f:
+                with (out / paths["trajectory"]).open("w", newline="\n") as f:
                     f.writelines(traj.csv_blocks())
         if "solve_result" in artifacts:
-            hpath = out / outputs.get("history", f"{name}.history.csv")
-            hpath.write_text(artifacts["solve_result"].history_csv(), newline="\n")
+            (out / paths["history"]).write_text(artifacts["solve_result"].history_csv(), newline="\n")
         return code
     except ScenarioError as e:
         print(f"error: {e.code}: {e}", file=sys.stderr)

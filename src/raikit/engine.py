@@ -138,6 +138,12 @@ class Trajectory(Report):
         return obj
 
 
+def _check_count(name: str, v) -> None:
+    """Reject anything but an integer >= 0; a bool is not an integer here."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {v!r}")
+
+
 @dataclass(frozen=True)
 class DisturbancePolicy:
     """Source of the nonnegative per-step disturbances delta(k).
@@ -159,8 +165,7 @@ class DisturbancePolicy:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        _check_count("seed", self.seed)
         if self.kind == "vanishing_random":
             if not np.isfinite(self.scale) or self.scale < 0 or not 0 < self.decay < 1:
                 raise ValueError("need a finite scale >= 0 and 0 < decay < 1")
@@ -343,8 +348,8 @@ class DelaySpec:
     fn: Callable[[int], object] | None = None
 
     def __post_init__(self) -> None:
-        if self.d_star < 0:
-            raise ValueError("d_star must be >= 0")
+        _check_count("d_star", self.d_star)
+        _check_count("period", self.period)
         store = IndexedSequence(
             partial(_validate_delays, self.d_star), self.period, self.tables, self.fn, hold_last=True
         )
@@ -384,9 +389,9 @@ class DelaySpec:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DelaySpec":
         return cls(
-            d_star=int(obj["d_star"]),
+            d_star=obj["d_star"],
             tables=tuple(np.asarray(t) for t in obj["tables"]),
-            period=int(obj.get("period", 0)),
+            period=obj.get("period", 0),
         )
 
 

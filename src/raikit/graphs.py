@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Container, Iterable, Iterator
 
 import numpy as np
@@ -238,7 +238,6 @@ class SccDecomposition:
     classification: tuple[str, ...]
     is_strong: bool
     is_quasi_strong: bool
-    component_of: tuple[int, ...] = field(repr=False)
 
     def source_components(self) -> list[int]:
         """Indices of components with condensation in-degree 0."""
@@ -337,7 +336,6 @@ def strong_components(g: WeightedDigraph) -> SccDecomposition:
         classification=tuple(classification),
         is_strong=(m == 1),
         is_quasi_strong=(n_sources == 1),
-        component_of=tuple(comp_of),
     )
 
 

@@ -13,8 +13,8 @@ x(k+1) <= W(k) x(k), so the network results apply verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -38,49 +38,45 @@ __all__ = [
 ALGORITHMS = ("pre_project", "double_project", "convex_blend")
 
 
-def _norm(tag, v: np.ndarray) -> float:
-    if tag == "euclidean":
-        return float(np.linalg.norm(v))
-    if isinstance(tag, tuple) and len(tag) == 2:
-        kind, arg = tag
-        if kind == "p_norm":
-            return float(np.linalg.norm(v, ord=arg))
-        if kind == "weighted":
-            w = np.asarray(arg, dtype=float)
-            return float(np.sqrt(np.sum(w * v * v)))
-    raise ValueError(f"unknown norm tag {tag!r}")
+def _norm(v: np.ndarray) -> float:
+    return float(np.linalg.norm(v))
 
 
 @dataclass(frozen=True)
 class Paracontraction:
     """A map that strictly approaches its fixed points: for any fixed xi0
-    and non-fixed xi, ||M(xi) - xi0|| < ||xi - xi0|| in the tagged norm.
+    and non-fixed xi, ||M(xi) - xi0|| < ||xi - xi0|| in the Euclidean norm.
     ``apply`` must be pure.  The property itself is sampled, not proved:
     see paracontraction_audit."""
 
     dimension: int
     apply: Callable[[np.ndarray], np.ndarray]
-    norm_tag: object = "euclidean"
 
     def fixed_point_test(self, xi) -> bool:
         xi = np.asarray(xi, dtype=float)
-        return _norm(self.norm_tag, self.apply(xi) - xi) < FP_TOL
+        return _norm(self.apply(xi) - xi) < FP_TOL
 
 
-@dataclass(frozen=True)
-class ConvexProjector:
+class ConvexProjector(Paracontraction):
     """Euclidean metric projection onto a closed convex set, in closed form.
 
-    kinds: hyperplane(a, b) for a.x = b; halfspace(a, b) for a.x <= b;
-    ball(center, r); box(lo, hi); affine_subspace(A, b) for A x = b.
-    Degenerate specs (zero normal, negative radius, crossed bounds,
-    inconsistent equations) are rejected at construction.
+    hyperplane(a, b) for a.x = b; halfspace(a, b) for a.x <= b; ball(center,
+    r); box(lo, hi); affine_subspace(A, b) for A x = b.  ``apply`` closes over
+    precomputed parameters, so projectors compare by identity.  Degenerate
+    specs (zero normal, negative radius, crossed bounds, inconsistent
+    equations) and NaN or infinite parameters are rejected, except on an open
+    side: halfspace b = inf, box lo = -inf or hi = inf, ball r = inf.
     """
 
-    kind: str
-    dimension: int
-    params: dict = field(compare=False)
-    norm_tag: object = "euclidean"
+    @classmethod
+    def _closed_form(cls, dimension: int, form: Callable[[np.ndarray], np.ndarray]) -> "ConvexProjector":
+        def apply(xi) -> np.ndarray:
+            xi = np.asarray(xi, dtype=float)
+            if xi.shape != (dimension,):
+                raise ValueError(f"point must have dimension {dimension}")
+            return form(xi)
+
+        return cls(dimension=dimension, apply=apply)
 
     @classmethod
     def hyperplane(cls, a, b: float) -> "ConvexProjector":
@@ -88,7 +84,10 @@ class ConvexProjector:
         nrm2 = float(a @ a)
         if not nrm2 > 0:
             raise ValueError("hyperplane normal must be nonzero")
-        return cls(kind="hyperplane", dimension=a.shape[0], params={"a": a, "b": float(b), "nrm2": nrm2})
+        b = float(b)
+        if not (np.all(np.isfinite(a)) and np.isfinite(b)):
+            raise ValueError("hyperplane normal and offset must be finite")
+        return cls._closed_form(a.shape[0], lambda xi: xi - ((a @ xi - b) / nrm2) * a)
 
     @classmethod
     def halfspace(cls, a, b: float) -> "ConvexProjector":
@@ -96,14 +95,26 @@ class ConvexProjector:
         nrm2 = float(a @ a)
         if not nrm2 > 0:
             raise ValueError("halfspace normal must be nonzero")
-        return cls(kind="halfspace", dimension=a.shape[0], params={"a": a, "b": float(b), "nrm2": nrm2})
+        b = float(b)
+        if not (np.all(np.isfinite(a)) and b > -np.inf):  # b = inf is the whole space
+            raise ValueError("halfspace normal must be finite and offset > -inf")
+        return cls._closed_form(a.shape[0], lambda xi: xi if (s := a @ xi - b) <= 0 else xi - (s / nrm2) * a)
 
     @classmethod
     def ball(cls, center, r: float) -> "ConvexProjector":
         c = np.asarray(center, dtype=float)
-        if r < 0:
+        if not r >= 0:  # also NaN
             raise ValueError("ball radius must be >= 0")
-        return cls(kind="ball", dimension=c.shape[0], params={"center": c, "r": float(r)})
+        r = float(r)
+        if not np.all(np.isfinite(c)):
+            raise ValueError("ball center must be finite")
+
+        def form(xi):
+            off = xi - c
+            dist = _norm(off)
+            return xi if dist <= r else c + (r / dist) * off
+
+        return cls._closed_form(c.shape[0], form)
 
     @classmethod
     def box(cls, lo, hi) -> "ConvexProjector":
@@ -111,7 +122,9 @@ class ConvexProjector:
         hi = np.asarray(hi, dtype=float)
         if lo.shape != hi.shape or np.any(lo > hi):
             raise ValueError("box needs lo <= hi elementwise")
-        return cls(kind="box", dimension=lo.shape[0], params={"lo": lo, "hi": hi})
+        if not (np.all(lo < np.inf) and np.all(hi > -np.inf)):  # also NaN
+            raise ValueError("box needs lo < inf and hi > -inf")
+        return cls._closed_form(lo.shape[0], lambda xi: np.clip(xi, lo, hi))
 
     @classmethod
     def affine_subspace(cls, A, b) -> "ConvexProjector":
@@ -119,39 +132,14 @@ class ConvexProjector:
         b = np.asarray(b, dtype=float)
         if A.ndim != 2 or b.shape != (A.shape[0],):
             raise ValueError("need A (m x d) and b (m,)")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+            raise ValueError("affine subspace A and b must be finite")
         pinv = np.linalg.pinv(A)
         least = pinv @ b
         scale = max(1.0, float(np.abs(b).max(initial=0.0)))
         if float(np.abs(A @ least - b).max(initial=0.0)) > 1e-8 * scale:
             raise ValueError("equations are inconsistent; the subspace is empty")
-        return cls(kind="affine_subspace", dimension=A.shape[1], params={"A": A, "b": b, "pinv": pinv})
-
-    def apply(self, xi) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        if xi.shape != (self.dimension,):
-            raise ValueError(f"point must have dimension {self.dimension}")
-        p = self.params
-        if self.kind == "hyperplane":
-            return xi - ((p["a"] @ xi - p["b"]) / p["nrm2"]) * p["a"]
-        if self.kind == "halfspace":
-            slack = p["a"] @ xi - p["b"]
-            if slack <= 0:
-                return xi
-            return xi - (slack / p["nrm2"]) * p["a"]
-        if self.kind == "ball":
-            off = xi - p["center"]
-            dist = float(np.linalg.norm(off))
-            if dist <= p["r"]:
-                return xi
-            return p["center"] + (p["r"] / dist) * off
-        if self.kind == "box":
-            return np.clip(xi, p["lo"], p["hi"])
-        if self.kind == "affine_subspace":
-            return xi - p["pinv"] @ (p["A"] @ xi - p["b"])
-        raise ValueError(f"unknown projector kind {self.kind!r}")
-
-    # Both map types expose apply and norm_tag; the test is shared.
-    fixed_point_test = Paracontraction.fixed_point_test
+        return cls._closed_form(A.shape[1], lambda xi: xi - pinv @ (A @ xi - b))
 
 
 def project(p, xi) -> np.ndarray:
@@ -175,15 +163,13 @@ class MultiAgentProblem:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         d = maps[0].dimension
-        tag = maps[0].norm_tag
-        for m in maps:
-            if m.dimension != d:
-                raise ValueError("all maps must share one dimension")
-            if m.norm_tag != tag:
-                raise ValueError("all maps must share one norm")
+        if any(m.dimension != d for m in maps):
+            raise ValueError("all maps must share one dimension")
         init = np.asarray(self.initial, dtype=float)
         if init.shape != (len(maps), d):
             raise ValueError(f"initial states must be {len(maps)}x{d}, got {init.shape}")
+        if not np.all(np.isfinite(init)):
+            raise ValueError("initial states must be finite")
         init = init.copy()
         init.setflags(write=False)
         object.__setattr__(self, "maps", maps)
@@ -245,14 +231,13 @@ class SolveResult(Report):
 
 
 def _residuals(problem: MultiAgentProblem, states: np.ndarray) -> tuple[float, float]:
-    tag = problem.maps[0].norm_tag
     n = problem.n
     disagreement = 0.0
     for i in range(n):
         for j in range(i + 1, n):
-            disagreement = max(disagreement, _norm(tag, states[i] - states[j]))
+            disagreement = max(disagreement, _norm(states[i] - states[j]))
     violation = max(
-        _norm(tag, problem.maps[i].apply(states[i]) - states[i]) for i in range(n)
+        _norm(problem.maps[i].apply(states[i]) - states[i]) for i in range(n)
     )
     return disagreement, violation
 
@@ -321,7 +306,6 @@ def paracontraction_audit(p, samples: int, seed: int = 0) -> AuditReport:
     (negative means some sample moved away)."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    tag = p.norm_tag
     xi0 = np.zeros(p.dimension)
     found = p.fixed_point_test(xi0)
     if not found:
@@ -339,7 +323,7 @@ def paracontraction_audit(p, samples: int, seed: int = 0) -> AuditReport:
         xi = xi0 + rng.standard_normal(p.dimension) * 10.0 ** rng.integers(-2, 3)
         if p.fixed_point_test(xi):
             continue
-        margin = _norm(tag, xi - xi0) - _norm(tag, np.asarray(p.apply(xi)) - xi0)
+        margin = _norm(xi - xi0) - _norm(np.asarray(p.apply(xi)) - xi0)
         if worst is None or margin < worst:
             worst = margin
         if margin < -FP_TOL:

@@ -1,0 +1,238 @@
+"""Scenario fields of the wrong JSON type, and non-finite solver input, exit 2
+with one `error:` line on stderr, never with a traceback or a silently
+truncated value."""
+
+import copy
+import json
+import math
+
+import pytest
+
+from raikit.cli import _SCENARIO_DIR, SCHEMA_VERSION, run_scenario
+
+INF, NAN = math.inf, math.nan
+
+_TWO_LINES = [{"kind": "hyperplane", "a": [1.0, 0.0], "b": 1.0}, {"kind": "hyperplane", "a": [0.0, 1.0], "b": 1.0}]
+_HALF = [[0.5, 0.5], [0.5, 0.5]]
+
+# One small scenario per reader; every one exits 0 or 3 as written.
+BASES = {
+    "rai": ("simulate_rai", {"sequence": {"kind": "constant", "matrix": _HALF}, "x0": [1.0, 0.0], "steps": 100}),
+    "gossip": (
+        "simulate_rai",
+        {
+            "sequence": {
+                "kind": "gossip", "n": 3, "schedule": [[0, 1], [1, 2], [2, 0]], "alphas": 0.5,
+                "fire_times": [0, 1, 2], "period": 3,
+            },
+            "x0": [1.0, 0.0, 0.5],
+            "steps": 100,
+            "policy": {"kind": "vanishing_random", "scale": 0.01, "decay": 0.9},
+        },
+    ),
+    "delayed": (
+        "simulate_rai",
+        {
+            "sequence": {"kind": "constant", "matrix": _HALF},
+            "delays": {"d_star": 1, "period": 1, "tables": [[[0, 1], [0, 0]]]},
+            "history": [[0.0, 1.0], [1.0, 0.0]],
+            "steps": 100,
+        },
+    ),
+    "hk": ("simulate_hk", {"x0": [0.0, 0.4, 3.0], "epsilon": 0.5, "max_steps": 100}),
+    "altafini": (
+        "simulate_altafini",
+        {"matrices": [[[0.5, -0.5], [-0.5, 0.5]]], "period": 1, "x0": [0.8, -0.2], "steps": 100, "balance_horizon": 4},
+    ),
+    "check": (
+        "check_sequence",
+        {"sequence": {"kind": "explicit", "matrices": [_HALF], "period": 1}, "M": 1, "T": 0, "L": 1},
+    ),
+    "solve": (
+        "solve_fixedpoint",
+        {
+            "sets": _TWO_LINES,
+            "W": {"kind": "constant", "matrix": _HALF},
+            "algorithm": "pre_project",
+            "initial": [[0.0, 0.0], [0.0, 0.0]],
+            "max_iters": 2000,
+        },
+    ),
+    "graph": ("analyze_graph", {"graph": {"n": 2, "weights": _HALF}}),
+    "edgelist": ("analyze_graph", {"edgelist": "0 1 1.0\n1 0 1.0\n", "n": 2}),
+    "matrix": ("analyze_matrix", {"matrices": [{"name": "half", "rows": _HALF}]}),
+}
+
+
+def _scenario(base):
+    kind, parameters = BASES[base]
+    return {
+        "schema_version": SCHEMA_VERSION, "name": "typed", "kind": kind, "seed": 0,
+        "parameters": copy.deepcopy(parameters),
+    }
+
+
+def _set(obj, path, value):
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+
+
+def _run(tmp_path, capsys, scenario):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    code = run_scenario(str(path), out_dir=tmp_path)
+    return code, capsys.readouterr().err
+
+
+P = ("parameters",)
+
+WRONG_TYPES = [
+    # a non-object where an object is read
+    ("rai", P + ("sequence",), [["kind", "constant"]]),
+    ("solve", P + ("W",), []),
+    ("rai", ("outputs",), ["verdict.json"]),
+    ("rai", P + ("policy",), "zero"),
+    ("delayed", P + ("delays",), [1, 1]),
+    ("matrix", P + ("matrices", 0), _HALF),
+    ("solve", P + ("sets", 0), "hyperplane"),
+    ("graph", P + ("graph",), [2]),
+    # a non-string where a string is read
+    ("edgelist", P + ("edgelist",), ["0 1 1.0", "1 0 1.0"]),
+    ("rai", ("outputs",), {"verdict": 5}),
+    ("rai", ("outputs",), {"trajectory": None}),
+    ("solve", ("outputs",), {"history": ["h.csv"]}),
+    ("matrix", P + ("matrices", 0, "name"), 7),
+    ("solve", P + ("algorithm",), ["pre_project"]),
+    # a non-boolean flag
+    ("matrix", P + ("matrices", 0, "substochastic"), "yes"),
+    # integer fields: no floats, no bools, no strings
+    ("rai", ("seed",), "x"),
+    ("rai", ("seed",), 1.5),
+    ("rai", ("seed",), True),
+    ("check", P + ("M",), 1.5),
+    ("check", P + ("T",), 0.5),
+    ("check", P + ("L",), 1.0),
+    ("check", P + ("sequence", "period"), 1.5),
+    ("rai", P + ("steps",), 100.5),
+    ("rai", P + ("steps",), True),
+    ("hk", P + ("max_steps",), 100.5),
+    ("solve", P + ("max_iters",), 2000.5),
+    ("altafini", P + ("period",), 1.0),
+    ("altafini", P + ("balance_horizon",), 4.5),
+    ("altafini", P + ("steps",), "100"),
+    ("gossip", P + ("sequence", "n"), 3.0),
+    ("gossip", P + ("sequence", "period"), 3.5),
+    ("gossip", P + ("sequence", "fire_times"), [0, 1, 2.5]),
+    ("gossip", P + ("sequence", "fire_times"), [0, True, 2]),
+    ("gossip", P + ("sequence", "schedule"), [[0, 1], [1, 2], [2, 0.0]]),
+    ("graph", P + ("graph", "n"), 2.0),
+    ("edgelist", P + ("n",), 2.5),
+]
+
+
+@pytest.mark.parametrize("base, path, value", WRONG_TYPES)
+def test_wrong_json_type_exits_two(tmp_path, capsys, base, path, value):
+    scenario = _scenario(base)
+    assert _run(tmp_path, capsys, scenario)[0] in (0, 3)  # as written, the scenario runs
+    (tmp_path / "typed.verdict.json").unlink()
+    _set(scenario, path, value)
+    code, err = _run(tmp_path, capsys, scenario)
+    assert code == 2
+    assert err.startswith("error: schema:") and err.count("\n") == 1, err
+    assert not (tmp_path / "typed.verdict.json").exists()
+
+
+@pytest.mark.parametrize("key, value", [("d_star", 1.5), ("d_star", True), ("period", 1.5), ("period", "1")])
+def test_delay_fields_take_integers_only(tmp_path, capsys, key, value):
+    # DelaySpec checks its own fields at construction, so these are validation errors.
+    scenario = _scenario("delayed")
+    scenario["parameters"]["delays"][key] = value
+    code, err = _run(tmp_path, capsys, scenario)
+    assert code == 2
+    assert err == f"error: validation: {key} must be an integer >= 0, got {value!r}\n"
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (P + ("sets", 0), {"kind": "ball", "center": [1.0, 0.0], "r": NAN}),
+        (P + ("sets", 0, "b"), NAN),
+        (P + ("sets", 0, "a"), [INF, 0.0]),
+        (P + ("initial",), [[0.0, NAN], [0.0, 0.0]]),
+        (P + ("initial",), [[0.0, 0.0], [-INF, 0.0]]),
+    ],
+)
+def test_non_finite_solver_input_exits_two(tmp_path, capsys, path, value):
+    scenario = _scenario("solve")
+    _set(scenario, path, value)
+    code, err = _run(tmp_path, capsys, scenario)
+    assert code == 2
+    assert err.startswith("error: validation:") and err.count("\n") == 1, err
+    assert not (tmp_path / "typed.verdict.json").exists()
+
+
+def test_open_sides_solve_but_closed_infinite_sides_exit_two(tmp_path, capsys):
+    scenario = _scenario("solve")
+    # x = 1 with a box open below, and y = 1 with a halfspace and a ball open outward
+    scenario["parameters"]["sets"] = [
+        {"kind": "box", "lo": [-INF, 0.0], "hi": [1.0, INF]},
+        {"kind": "halfspace", "a": [0.0, 1.0], "b": INF},
+    ]
+    code, err = _run(tmp_path, capsys, scenario)
+    assert (code, err) == (0, "")
+    scenario["parameters"]["sets"][1] = {"kind": "ball", "center": [0.0, 0.0], "r": INF}
+    assert _run(tmp_path, capsys, scenario) == (0, "")
+    for closed in ({"kind": "box", "lo": [INF, 0.0], "hi": [INF, 1.0]}, {"kind": "halfspace", "a": [0.0, 1.0], "b": -INF}):
+        scenario["parameters"]["sets"][1] = closed
+        code, err = _run(tmp_path, capsys, scenario)
+        assert code == 2 and err.startswith("error: validation:"), err
+
+
+def _wrong(value):
+    """A value of another JSON type: an object becomes [], an array or a
+    number "x", an integer 2.5, a string 0 and a boolean "x"."""
+    if isinstance(value, dict):
+        return []
+    if isinstance(value, bool):
+        return "x"
+    if isinstance(value, int):
+        return 2.5
+    if isinstance(value, str):
+        return 0
+    return "x"
+
+
+def _key_paths(obj, prefix=()):
+    """Every key path under ``obj``, recursing into objects, also those held
+    in arrays (the entries of ``sets`` or of ``matrices``)."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield prefix + (key,)
+            yield from _key_paths(value, prefix + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _key_paths(value, prefix + (i,))
+
+
+def test_every_bundled_parameter_of_a_wrong_type_exits_two(tmp_path, capsys):
+    """The exit-code contract, swept over each key of each bundled scenario."""
+    bundled = sorted(_SCENARIO_DIR.glob("*.json"))
+    assert len(bundled) == 14
+    failures = []
+    for source in bundled:
+        original = json.loads(source.read_text())
+        for path in _key_paths(original["parameters"]):
+            scenario = copy.deepcopy(original)
+            node = scenario["parameters"]
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = _wrong(node[path[-1]])
+            try:
+                code, err = _run(tmp_path, capsys, scenario)
+            except Exception as e:  # a traceback at the console
+                code, err = f"raised {type(e).__name__}: {e}", ""
+            lines = err.splitlines()
+            if code != 2 or len(lines) != 1 or not lines[0].startswith("error:"):
+                failures.append((source.stem, path, node[path[-1]], code, err))
+    assert not failures, "\n".join(map(repr, failures))
