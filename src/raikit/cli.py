@@ -16,6 +16,7 @@ import argparse
 import json
 import reprlib
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -79,19 +80,29 @@ class ScenarioError(Exception):
 
 
 _TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "number": (int, float), "integer": int}
+# Exact types, as json.loads makes them, so a bool is no integer here.
+_ARRAY_ITEMS = {"integer array": {int, list}, "number array": {int, float, list}}
 _REQUIRED = object()
 
 
 def _is_json(value, kind: str) -> bool:
-    if kind == "integer array":
-        return isinstance(value, list) and all(_is_json(v, kind) or _is_json(v, "integer") for v in value)
+    if " or " in kind:
+        return any(_is_json(value, k) for k in kind.split(" or "))
+    if kind in _ARRAY_ITEMS:
+        if type(value) is not list:
+            return False
+        while (types := set(map(type, value))) == {list}:  # a regular nest: one level at a time
+            value = list(chain.from_iterable(value))
+        nested = list in types and not all(type(v) is not list or _is_json(v, kind) for v in value)
+        return types <= _ARRAY_ITEMS[kind] and not nested
     return isinstance(value, _TYPES[kind]) and (kind == "boolean" or not isinstance(value, bool))
 
 
 def _field(obj, key: str, kind: str, default=_REQUIRED):
     """``obj[key]``, where ``obj`` must be a JSON object and the value a JSON
     ``kind``: only a "boolean" may be a bool, an "integer" is never a float,
-    and an "integer array" holds integers at any depth, as in [[0, 1]].
+    an "integer array" or a "number array" holds integers or numbers at any
+    depth, as in [[0, 1]], and "number or number array" takes either.
     ``default`` stands in for an absent key; without one it is an error."""
     if not isinstance(obj, dict):
         raise ScenarioError("schema", f"expected an object with {key!r}, got {reprlib.repr(obj)}")
@@ -110,22 +121,22 @@ def sequence_from_json_obj(obj: dict) -> MatrixSequence:
     truth-free bounded-confidence run, frozen once the run freezes)."""
     kind = obj.get("kind")
     if kind == "constant":
-        return MatrixSequence.constant(np.asarray(_field(obj, "matrix", "array"), dtype=float))
+        return MatrixSequence.constant(np.asarray(_field(obj, "matrix", "number array"), dtype=float))
     if kind == "explicit":
-        mats = [np.asarray(m, dtype=float) for m in _field(obj, "matrices", "array")]
+        mats = [np.asarray(m, dtype=float) for m in _field(obj, "matrices", "number array")]
         return MatrixSequence.explicit(mats, period=_field(obj, "period", "integer", 0))
     if kind == "gossip":
         return gossip_sequence(
             n=_field(obj, "n", "integer"),
             schedule=_field(obj, "schedule", "integer array"),
-            alphas=obj["alphas"],
+            alphas=_field(obj, "alphas", "number or number array"),
             fire_times=_field(obj, "fire_times", "integer array"),
             eta=float(_field(obj, "eta", "number", 0.05)),
             period=_field(obj, "period", "integer", 0),
         )
     if kind == "hk_induced":
         epsilon = float(_field(obj, "epsilon", "number"))
-        x0 = np.asarray(_field(obj, "x0", "array"), dtype=float)
+        x0 = np.asarray(_field(obj, "x0", "number array"), dtype=float)
         max_steps = _field(obj, "max_steps", "integer", hk_step_cap(x0.shape[0]))
         traj, _ = run_hk(x0, HkConfig(epsilon=epsilon), max_steps)
         states = traj.states
@@ -141,6 +152,8 @@ def sequence_from_json_obj(obj: dict) -> MatrixSequence:
 def _policy_from(obj, default_seed: int) -> DisturbancePolicy:
     if obj is None:
         return DisturbancePolicy.zero()
+    if obj.get("kind") == "adversarial_replay":
+        _field(obj, "deltas", "number array")
     if "seed" not in obj and obj.get("kind") in ("vanishing_random", "constant_random"):
         obj = dict(obj, seed=default_seed)
     return DisturbancePolicy.from_json_obj(obj)
@@ -149,22 +162,22 @@ def _policy_from(obj, default_seed: int) -> DisturbancePolicy:
 def _projector_from(obj: dict) -> ConvexProjector:
     kind = _field(obj, "kind", "string")
     if kind == "hyperplane":
-        return ConvexProjector.hyperplane(_field(obj, "a", "array"), _field(obj, "b", "number"))
+        return ConvexProjector.hyperplane(_field(obj, "a", "number array"), _field(obj, "b", "number"))
     if kind == "halfspace":
-        return ConvexProjector.halfspace(_field(obj, "a", "array"), _field(obj, "b", "number"))
+        return ConvexProjector.halfspace(_field(obj, "a", "number array"), _field(obj, "b", "number"))
     if kind == "ball":
-        return ConvexProjector.ball(_field(obj, "center", "array"), _field(obj, "r", "number"))
+        return ConvexProjector.ball(_field(obj, "center", "number array"), _field(obj, "r", "number"))
     if kind == "box":
-        return ConvexProjector.box(_field(obj, "lo", "array"), _field(obj, "hi", "array"))
+        return ConvexProjector.box(_field(obj, "lo", "number array"), _field(obj, "hi", "number array"))
     if kind == "affine_subspace":
-        return ConvexProjector.affine_subspace(_field(obj, "A", "array"), _field(obj, "b", "array"))
+        return ConvexProjector.affine_subspace(_field(obj, "A", "number array"), _field(obj, "b", "number array"))
     raise ScenarioError("schema", f"unknown set kind {kind!r}")
 
 
 def _graph_from(params: dict) -> WeightedDigraph:
     if "graph" in params:
         g = _field(params, "graph", "object")
-        weights = np.asarray(_field(g, "weights", "array"), dtype=float)
+        weights = np.asarray(_field(g, "weights", "number array"), dtype=float)
         return WeightedDigraph(n=_field(g, "n", "integer"), weights=weights)
     if "edgelist" in params:
         n = _field(params, "n", "integer", None)
@@ -191,7 +204,7 @@ def _run_analyze_matrix(params: dict, seed: int) -> tuple[dict, int, dict]:
     results = []
     for entry in _field(params, "matrices", "array"):
         name = _field(entry, "name", "string", f"matrix_{len(results)}")
-        rows = np.asarray(_field(entry, "rows", "array"), dtype=float)
+        rows = np.asarray(_field(entry, "rows", "number array"), dtype=float)
         if _field(entry, "substochastic", "boolean", False):
             A = SubstochasticMatrix(n=rows.shape[0], entries=rows)
             results.append(
@@ -240,10 +253,10 @@ def _run_simulate_rai(params: dict, seed: int) -> tuple[dict, int, dict]:
     policy = _policy_from(_field(params, "policy", "object", None), seed)
     if "delays" in params:
         delays = DelaySpec.from_json_obj(_field(params, "delays", "object"))
-        history = [np.asarray(h, dtype=float) for h in _field(params, "history", "array")]
+        history = [np.asarray(h, dtype=float) for h in _field(params, "history", "number array")]
         traj = run_delayed_rai(seq, delays, history, policy, steps)
     else:
-        x0 = np.asarray(_field(params, "x0", "array"), dtype=float)
+        x0 = np.asarray(_field(params, "x0", "number array"), dtype=float)
         traj = run_rai(seq, x0, policy, steps)
     verdict = classify(traj)
     code = 0 if verdict.all_converged() else 3
@@ -251,11 +264,11 @@ def _run_simulate_rai(params: dict, seed: int) -> tuple[dict, int, dict]:
 
 
 def _run_simulate_hk(params: dict, seed: int) -> tuple[dict, int, dict]:
-    x0 = np.asarray(_field(params, "x0", "array"), dtype=float)
+    x0 = np.asarray(_field(params, "x0", "number array"), dtype=float)
     cfg = HkConfig(
         epsilon=float(_field(params, "epsilon", "number")),
         truth=float(_field(params, "truth", "number", 0.0)),
-        awareness=tuple(_field(params, "awareness", "array", ())),
+        awareness=tuple(_field(params, "awareness", "number array", ())),
     )
     max_steps = _field(params, "max_steps", "integer", hk_step_cap(x0.shape[0]))
     traj, report = run_hk(x0, cfg, max_steps)
@@ -270,9 +283,9 @@ def _run_simulate_hk(params: dict, seed: int) -> tuple[dict, int, dict]:
 
 
 def _run_simulate_altafini(params: dict, seed: int) -> tuple[dict, int, dict]:
-    mats = [np.asarray(m, dtype=float) for m in _field(params, "matrices", "array")]
+    mats = [np.asarray(m, dtype=float) for m in _field(params, "matrices", "number array")]
     seq = SignedMatrixSequence.explicit(mats, period=_field(params, "period", "integer", len(mats)))
-    x0 = np.asarray(_field(params, "x0", "array"), dtype=float)
+    x0 = np.asarray(_field(params, "x0", "number array"), dtype=float)
     steps = _field(params, "steps", "integer")
     traj = run_altafini(seq, x0, steps)
     verdict = classify(traj)
@@ -297,7 +310,7 @@ def _run_solve_fixedpoint(params: dict, seed: int) -> tuple[dict, int, dict]:
         maps=maps,
         W=W,
         algorithm=_field(params, "algorithm", "string"),
-        initial=np.asarray(_field(params, "initial", "array"), dtype=float),
+        initial=np.asarray(_field(params, "initial", "number array"), dtype=float),
     )
     result = solve(
         problem,

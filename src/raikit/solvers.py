@@ -13,6 +13,7 @@ x(k+1) <= W(k) x(k), so the network results apply verbatim.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,7 +40,10 @@ ALGORITHMS = ("pre_project", "double_project", "convex_blend")
 
 
 def _norm(v: np.ndarray) -> float:
-    return float(np.linalg.norm(v))
+    """numpy's norm of a float vector, unwrapped: ravel (a strided view is
+    copied to a contiguous one), one dot, one sqrt."""
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 @dataclass(frozen=True)
@@ -184,33 +188,42 @@ class MultiAgentProblem:
         return self.maps[0].dimension
 
 
+def _project_all(maps: tuple, points: np.ndarray) -> np.ndarray:
+    return np.array([m.apply(x) for m, x in zip(maps, points)], dtype=float)
+
+
+def _slots(n: int) -> np.ndarray:
+    """(n-1, n) table whose [t, i] entry is i*n + j for the t-th j != i in
+    increasing j: the place of w_ij x_j among the n*n products."""
+    t, i = np.arange(n - 1)[:, None], np.arange(n)
+    return i * n + t + (t >= i)
+
+
+def _step(problem: MultiAgentProblem, states: np.ndarray, k: int, projected: np.ndarray | None, slots) -> np.ndarray:
+    """The round at time k from the projections of the step-k states."""
+    Wk = problem.W.matrix(k).entries
+    if problem.algorithm == "convex_blend":
+        # w_ii P_i, then + w_ij x_j for the j != i in increasing j, a slot at
+        # a time for all rows: each entry gets the row-by-row sum's operations.
+        out = Wk.diagonal()[:, None] * projected
+        for term in (Wk[:, :, None] * states).reshape(problem.n**2, -1).take(slots, axis=0):
+            out += term
+        return out
+    mixed = Wk @ (states if problem.algorithm == "pre_project" else projected)
+    return _project_all(problem.maps, mixed)
+
+
 def step(problem: MultiAgentProblem, states: np.ndarray, k: int) -> np.ndarray:
     """One synchronous round at time k.  All reads are from the step-k
-    states; the three rules are implemented exactly as their defining
-    equations read."""
+    states: pre_project projects the average, double_project projects the
+    average of the projections, and convex_blend adds w_ii M_i(x_i) to the
+    weighted states of the others."""
     n, d = problem.n, problem.dimension
     states = np.asarray(states, dtype=float)
     if states.shape != (n, d):
         raise ValueError(f"states must be {n}x{d}")
-    Wk = problem.W.matrix(k).entries
-    out = np.empty_like(states)
-    if problem.algorithm == "pre_project":
-        mixed = Wk @ states
-        for i in range(n):
-            out[i] = problem.maps[i].apply(mixed[i])
-    elif problem.algorithm == "double_project":
-        projected = np.array([problem.maps[j].apply(states[j]) for j in range(n)])
-        mixed = Wk @ projected
-        for i in range(n):
-            out[i] = problem.maps[i].apply(mixed[i])
-    else:  # convex_blend
-        for i in range(n):
-            acc = Wk[i, i] * problem.maps[i].apply(states[i])
-            for j in range(n):
-                if j != i:
-                    acc = acc + Wk[i, j] * states[j]
-            out[i] = acc
-    return out
+    projected = None if problem.algorithm == "pre_project" else _project_all(problem.maps, states)
+    return _step(problem, states, k, projected, _slots(n))
 
 
 @dataclass(frozen=True)
@@ -230,18 +243,20 @@ class SolveResult(Report):
         return "\n".join(lines) + "\n"
 
 
-def _residuals(problem: MultiAgentProblem, states: np.ndarray) -> tuple[float, float]:
-    n = problem.n
-    disagreement = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            disagreement = max(disagreement, _norm(states[i] - states[j]))
-    violation = max(
-        _norm(problem.maps[i].apply(states[i]) - states[i]) for i in range(n)
-    )
-    return disagreement, violation
+def _residuals(problem: MultiAgentProblem, states: np.ndarray, pairs: tuple, k: int) -> tuple:
+    """Disagreement over the index ``pairs``, violation, and the projections.
+    A fresh difference has contiguous rows, so a squared norm is one dot as
+    in _norm, and the root of the largest square is the largest norm.  A
+    square is finite only if its row is, which checks the states too."""
+    projected = _project_all(problem.maps, states)
+    gaps = [r.dot(r) for r in projected - states]
+    spread = max([r.dot(r) for r in states[pairs[0]] - states[pairs[1]]], default=0.0)
+    if not (all(map(math.isfinite, gaps)) and math.isfinite(spread)):
+        raise ValueError(f"solver state became non-finite at iteration {k}")
+    return math.sqrt(spread), math.sqrt(max(gaps)), projected
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite state raises in _residuals
 def solve(
     problem: MultiAgentProblem,
     max_iters: int = MAX_ITERS,
@@ -259,31 +274,22 @@ def solve(
     if not tol > 0:
         raise ValueError("tol must be positive")
     states = problem.initial.copy()
+    pairs, slots = np.triu_indices(problem.n, 1), _slots(problem.n)
     dg_hist: list[float] = []
     vi_hist: list[float] = []
     for it in range(max_iters + 1):
-        dg, vi = _residuals(problem, states)
+        dg, vi, projected = _residuals(problem, states, pairs, it)
         dg_hist.append(dg)
         vi_hist.append(vi)
-        if dg < tol and vi < tol:
-            return SolveResult(
-                converged=True,
-                solution=states.mean(axis=0),
-                iterations=it,
-                agent_disagreement=dg,
-                constraint_violation=vi,
-                disagreement_history=tuple(dg_hist),
-                violation_history=tuple(vi_hist),
-            )
-        if it == max_iters:
+        if (dg < tol and vi < tol) or it == max_iters:
             break
-        states = step(problem, states, it)
+        states = _step(problem, states, it, projected, slots)
     return SolveResult(
-        converged=False,
+        converged=dg < tol and vi < tol,
         solution=states.mean(axis=0),
-        iterations=max_iters,
-        agent_disagreement=dg_hist[-1],
-        constraint_violation=vi_hist[-1],
+        iterations=it,
+        agent_disagreement=dg,
+        constraint_violation=vi,
         disagreement_history=tuple(dg_hist),
         violation_history=tuple(vi_hist),
     )

@@ -236,3 +236,94 @@ def test_every_bundled_parameter_of_a_wrong_type_exits_two(tmp_path, capsys):
             if code != 2 or len(lines) != 1 or not lines[0].startswith("error:"):
                 failures.append((source.stem, path, node[path[-1]], code, err))
     assert not failures, "\n".join(map(repr, failures))
+
+
+def test_solver_breakdown_exits_two_without_an_artifact(tmp_path, capsys):
+    # Finite starts whose difference overflows: no verdict, and no NaN in JSON.
+    scenario = _scenario("solve")
+    scenario["parameters"].update(
+        sets=[{"kind": "hyperplane", "a": [1.0, 1.0], "b": 0.0}, {"kind": "hyperplane", "a": [1.0, -1.0], "b": 0.0}],
+        algorithm="convex_blend",
+        initial=[[1e308, 1e308], [-1e308, 1e308]],
+    )
+    code, err = _run(tmp_path, capsys, scenario)
+    assert (code, err) == (2, "error: validation: solver state became non-finite at iteration 0\n")
+    assert not (tmp_path / "typed.verdict.json").exists() and not (tmp_path / "typed.history.csv").exists()
+
+
+def _gossip_ring(**changes):
+    scenario = json.loads((_SCENARIO_DIR / "gossip_silence_ring.json").read_text())
+    scenario["parameters"]["steps"] = 200
+    scenario["parameters"]["sequence"].update(changes.pop("sequence", {}))
+    scenario["parameters"].update(changes)
+    return scenario
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        pytest.param(
+            {"sequence": {"alphas": "0.5"}, "x0": ["0.9", "-0.3", "0.4", "-0.7"]},
+            "'alphas' must be a JSON number or number array, got '0.5'",
+            id="string-alphas-and-x0",
+        ),
+        pytest.param({"x0": [True, False, 0, 1]}, "'x0' must be a JSON number array, got [True, False, 0, 1]", id="bool-x0"),
+    ],
+)
+def test_numeric_strings_and_bools_exit_two(tmp_path, capsys, changes, message):
+    assert _run(tmp_path, capsys, _gossip_ring()) == (3, "")  # as written, the copy runs
+    (tmp_path / "gossip_silence_ring.verdict.json").unlink()
+    code, err = _run(tmp_path, capsys, _gossip_ring(**changes))
+    assert code == 2 and err.startswith(f"error: schema: {message}") and err.count("\n") == 1, err
+    assert not (tmp_path / "gossip_silence_ring.verdict.json").exists()
+
+
+def test_missing_alphas_is_named(tmp_path, capsys):
+    scenario = _gossip_ring()
+    del scenario["parameters"]["sequence"]["alphas"]
+    assert _run(tmp_path, capsys, scenario) == (2, "error: schema: missing parameter 'alphas'\n")
+
+
+# Each numeric array the CLI reads, first with a number and then with a
+# string or a bool that np.asarray(..., dtype=float) would have parsed.
+_BALL = {"kind": "ball", "center": [1.0, 0.0], "r": 0.5}
+_BOX = {"kind": "box", "lo": [1.0, 0.0], "hi": [1.0, 2.0]}
+_AFFINE = {"kind": "affine_subspace", "A": [[1.0, 0.0]], "b": [1.0]}
+_REPLAY = {"kind": "adversarial_replay", "deltas": [[0.0, 0.0]]}
+_INDUCED = {"kind": "hk_induced", "epsilon": 0.5, "x0": [0.0, 0.4]}
+NUMBER_LEAVES = [
+    ("rai", P + ("sequence", "matrix"), _HALF, [[0.5, "0.5"], [0.5, 0.5]]),
+    ("check", P + ("sequence", "matrices"), [_HALF], [[[0.5, 0.5], [True, 0]]]),
+    ("check", P + ("sequence",), _INDUCED, dict(_INDUCED, x0=[0.0, "0.4"])),
+    ("matrix", P + ("matrices", 0, "rows"), _HALF, [["0.5", 0.5], [0.5, 0.5]]),
+    ("graph", P + ("graph", "weights"), _HALF, [[0.5, 0.5], [0.5, "0.5"]]),
+    ("rai", P + ("x0",), [1.0, 0.0], [True, False]),
+    ("rai", P + ("policy",), _REPLAY, dict(_REPLAY, deltas=[[0.0, "0"]])),
+    ("delayed", P + ("history",), [[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [True, 0.0]]),
+    ("hk", P + ("x0",), [0.0, 0.4, 3.0], [0.0, "0.4", 3.0]),
+    ("hk", P + ("awareness",), [0.0, 0.5, 0.0], [0.0, "0.5", 0.0]),
+    ("altafini", P + ("matrices",), [[[0.5, -0.5], [-0.5, 0.5]]], [[[0.5, "-0.5"], [-0.5, 0.5]]]),
+    ("altafini", P + ("x0",), [0.8, -0.2], ["0.8", -0.2]),
+    ("gossip", P + ("sequence", "alphas"), [0.5, 0.5, 0.5], [0.5, "0.5", 0.5]),
+    ("solve", P + ("initial",), [[0.0, 0.0], [0.0, 0.0]], [[0.0, "0"], [0.0, 0.0]]),
+    ("solve", P + ("sets", 0, "a"), [1.0, 0.0], [True, 0.0]),
+    ("solve", P + ("sets", 0), {"kind": "halfspace", "a": [1.0, 0.0], "b": 1.0}, {"kind": "halfspace", "a": ["1", 0.0], "b": 1.0}),
+    ("solve", P + ("sets", 0), _BALL, dict(_BALL, center=[1.0, "0"])),
+    ("solve", P + ("sets", 0), _BOX, dict(_BOX, lo=[True, 0.0])),
+    ("solve", P + ("sets", 0), _BOX, dict(_BOX, hi=[1.0, "2"])),
+    ("solve", P + ("sets", 0), _AFFINE, dict(_AFFINE, A=[[1.0, "0"]])),
+    ("solve", P + ("sets", 0), _AFFINE, dict(_AFFINE, b=["1"])),
+]
+
+
+@pytest.mark.parametrize("base, path, good, bad", NUMBER_LEAVES)
+def test_number_array_leaves_must_be_json_numbers(tmp_path, capsys, base, path, good, bad):
+    scenario = _scenario(base)
+    _set(scenario, path, good)
+    assert _run(tmp_path, capsys, scenario)[0] in (0, 3)  # with numbers, the scenario runs
+    (tmp_path / "typed.verdict.json").unlink()
+    _set(scenario, path, bad)
+    code, err = _run(tmp_path, capsys, scenario)
+    assert code == 2
+    assert err.startswith("error: schema:") and "number" in err and err.count("\n") == 1, err
+    assert not (tmp_path / "typed.verdict.json").exists()
