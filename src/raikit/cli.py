@@ -149,11 +149,19 @@ def sequence_from_json_obj(obj: dict) -> MatrixSequence:
     raise ScenarioError("schema", f"unknown sequence kind {kind!r}")
 
 
+# The JSON type of each field that a policy kind reads.
+_POLICY_FIELDS = {
+    "vanishing_random": {"scale": "number", "decay": "number"},
+    "constant_random": {"scale": "number"},
+    "adversarial_replay": {"deltas": "number array"},
+}
+
+
 def _policy_from(obj, default_seed: int) -> DisturbancePolicy:
     if obj is None:
         return DisturbancePolicy.zero()
-    if obj.get("kind") == "adversarial_replay":
-        _field(obj, "deltas", "number array")
+    for key, kind in _POLICY_FIELDS.get(obj.get("kind"), {}).items():
+        _field(obj, key, kind)
     if "seed" not in obj and obj.get("kind") in ("vanishing_random", "constant_random"):
         obj = dict(obj, seed=default_seed)
     return DisturbancePolicy.from_json_obj(obj)

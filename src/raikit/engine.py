@@ -13,6 +13,10 @@ included, computes x(k+1) from x(k) plus a per-step residual in the one
 step loop ``_iterate``, which fills one (steps+1, n) state array,
 reserved up front for a fixed-length run and grown by doubling for a run
 that may end early; ``_check_x0`` checks every initial and history vector.
+run_rai fetches its weights once per run (one period of a periodic
+sequence).  Every matrix-vector product goes through ``_matvec``: np.dot,
+but np.matmul for a 1 x 1 matrix, where np.dot keeps the x = -0.0 that
+``@`` turns into +0.0.
 """
 
 from __future__ import annotations
@@ -253,6 +257,15 @@ def _check_x0(x0, n: int | None, what: str = "initial vector") -> np.ndarray:
     return x
 
 
+def _matvec(rows: int):
+    """The product A @ x for matrices of ``rows`` rows, as f(A, x[, out]).
+    np.dot makes the same cblas_dgemv call as ``@`` without the cost of the
+    matmul dispatch, so its bits are those of ``@``, but it multiplies a
+    1 x 1 matrix as a scalar and keeps x = -0.0, where gemv, which adds to
+    +0.0, gives +0.0: a 1 x 1 matrix takes np.matmul."""
+    return np.dot if rows > 1 else np.matmul
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite state raises below
 def _iterate(
     x: np.ndarray, steps: int, residuals: np.ndarray, step, window_max=None
@@ -295,15 +308,22 @@ def run_rai(
     """Run x(k+1) = W(k) x(k) - delta(k) for the given number of steps.
 
     The stored residuals are the drawn disturbances; with the zero policy
-    the result is bitwise identical to run_degroot."""
+    the result is bitwise identical to run_degroot.  The weights are read
+    through ``seq.matrix`` before the first step, one period of them for a
+    periodic sequence, so a finite list too short for the run raises then."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     x = _check_x0(x0, seq.n)
+    residuals = policy.draw(seq.n, steps)
+    period = seq.period or steps
+    weights = [seq.matrix(k).entries for k in range(min(period, steps))]
+    matvec = _matvec(seq.n)
 
     def step(k, x, delta, out):
-        np.subtract(seq.matrix(k).entries @ x, delta, out=out)
+        matvec(weights[k % period], x, out=out)
+        np.subtract(out, delta, out=out)
 
-    return _iterate(x, steps, policy.draw(seq.n, steps), step)[0]
+    return _iterate(x, steps, residuals, step)[0]
 
 
 def run_degroot(seq: MatrixSequence, x0, steps: int) -> Trajectory:
@@ -453,6 +473,7 @@ def run_delayed_rai(
     # y = [x(0); x(-1); ...; x(-d_star)], newest first.
     y = np.concatenate([_check_x0(h, n, "history vector") for h in hist][::-1])
     stacked_cache: dict = {}
+    matvec = _matvec(y.shape[0])
     window_max = np.empty(steps + 1)
     window_max[0] = y.max()
 
@@ -463,7 +484,7 @@ def run_delayed_rai(
         Xi = stacked_cache.get(key)
         if Xi is None:
             Xi = stacked_cache[key] = _stack(W, table, ds)
-        y[:] = Xi.entries @ y
+        y[:] = matvec(Xi.entries, y)
         y[:n] -= delta
         wm = float(y.max())
         prev = float(window_max[k])

@@ -11,7 +11,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .engine import Trajectory, _check_x0, _iterate
+from .engine import Trajectory, _check_x0, _iterate, _matvec
 from .graphs import Report, WeightedDigraph, reachable
 from .matrices import RowStochasticMatrix
 from .sequences import IndexedSequence, MatrixSequence
@@ -148,11 +148,12 @@ def run_hk(x0, cfg: HkConfig, max_steps: int) -> tuple[Trajectory, ClusterReport
     a = cfg.awareness_vector(x.shape[0])
     keep = 1.0 - a
     pull = cfg.truth * a
+    matvec = _matvec(x.shape[0])
 
     def step(k, x, delta, out):
         W = hk_weights(x, cfg.epsilon).entries
-        np.add(keep * (W @ x), pull, out=out)
-        np.subtract(W @ np.abs(x - cfg.truth), np.abs(out - cfg.truth), out=delta)
+        np.add(keep * matvec(W, x), pull, out=out)
+        np.subtract(matvec(W, np.abs(x - cfg.truth)), np.abs(out - cfg.truth), out=delta)
         return np.array_equal(out, x)
 
     # most runs freeze within a few dozen steps; the loop grows past these
@@ -237,12 +238,13 @@ def run_altafini(seq: SignedMatrixSequence, x0, steps: int) -> Trajectory:
     if steps < 0:
         raise ValueError("steps must be >= 0")
     x = _check_x0(x0, seq.n)
+    matvec = _matvec(seq.n)
 
     def step(k, x, delta, out):
         A = seq.matrix(k)
-        np.matmul(A, x, out=out)
+        matvec(A, x, out=out)
         mags = np.abs(x)
-        np.subtract(np.abs(A) @ mags, np.abs(out), out=delta)
+        np.subtract(matvec(np.abs(A), mags), np.abs(out), out=delta)
         if np.any(delta < -FEAS_TOL * np.maximum(1.0, mags.max())):
             raise RuntimeError(f"magnitude inequality violated at step {k}")
 

@@ -1,5 +1,6 @@
 """Balance verdicts must not depend on the BLAS kernel: the same scenario
-run under different forced OpenBLAS core types gives identical bytes."""
+run under different forced OpenBLAS core types gives identical bytes.  The
+engines' product helper must give the bits of ``@`` under each kernel."""
 
 import json
 import os
@@ -71,3 +72,46 @@ def test_verdict_bytes_identical_under_forced_blas_core_types(make, tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         assert (out / f"{name}.verdict.json").read_bytes() == here, core
+
+
+# Random row-stochastic and signed matrices, n = 1..70, against vectors with
+# signed zeros and subnormals; prints the number of products compared.
+_MATVEC_CHECK = """
+import numpy as np
+from raikit.engine import _matvec
+
+rng = np.random.default_rng(14)
+specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310])
+count = 0
+for n in range(1, 71):
+    matvec = _matvec(n)
+    for signed in (False, True):
+        raw = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+        np.fill_diagonal(raw, rng.random(n) + 0.1)
+        W = raw / raw.sum(axis=1, keepdims=True)
+        if signed:
+            W *= np.where(rng.random((n, n)) < 0.4, -1.0, 1.0)
+        vectors = [np.full(n, -0.0), np.zeros(n), rng.choice(specials, n), rng.uniform(-5.0, 5.0, n)]
+        mixed = rng.uniform(-5.0, 5.0, n)
+        pick = rng.random(n) < 0.5
+        mixed[pick] = rng.choice(specials, int(pick.sum()))
+        vectors.append(mixed)
+        for x in vectors:
+            want = (W @ x).tobytes()
+            out = np.empty(n)
+            matvec(W, x, out=out)
+            assert matvec(W, x).tobytes() == want and out.tobytes() == want, (n, signed, x)
+            count += 1
+print(count)
+"""
+
+
+@pytest.mark.parametrize("core", [None, "Haswell", "Sandybridge"])
+def test_matvec_helper_gives_the_bits_of_matmul_under_forced_blas_core_types(core):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_CORETYPE", None)
+    if core is not None:
+        env["OPENBLAS_CORETYPE"] = core
+    proc = subprocess.run([sys.executable, "-c", _MATVEC_CHECK], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(70 * 2 * 5)]

@@ -24,6 +24,7 @@ from raikit import (
     gossip_sequence,
     hk_weights,
     run_altafini,
+    run_degroot,
     run_delayed_rai,
     run_hk,
     run_rai,
@@ -399,6 +400,62 @@ def _signed_sequences(draw):
 def test_run_altafini_matches_list_loop(inp):
     seq, x0, steps = inp
     _assert_same(run_altafini(seq, x0, steps), _reference_run_altafini(seq, x0, steps))
+
+
+# ---------------------------------------------------------------------------
+# Signed zeros.  The generated inputs above draw x0 from an interval, so only
+# run_hk has met x = -0.0: a product must give the +0.0 that ``@`` gives, also
+# for a 1 x 1 matrix, which np.dot would multiply as a scalar.
+
+_SIGNED_ZERO_SEQS = {
+    "n1": (MatrixSequence.constant([[1.0]]), [-0.0]),
+    "n2": (MatrixSequence.constant([[0.5, 0.5], [0.0, 1.0]]), [-0.0, -0.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SIGNED_ZERO_SEQS))
+@pytest.mark.parametrize(
+    "policy",
+    [DisturbancePolicy.zero(), DisturbancePolicy.constant_random(0.0, seed=5),
+     DisturbancePolicy.vanishing_random(1.0, 0.5, seed=5)],
+    ids=["zero", "constant-0", "vanishing"],
+)
+def test_run_rai_from_signed_zeros_matches_per_step_loop(name, policy):
+    seq, x0 = _SIGNED_ZERO_SEQS[name]
+    _assert_same(run_rai(seq, x0, policy, 6), _reference_run_rai(seq, x0, policy, 6))
+
+
+@pytest.mark.parametrize("name", sorted(_SIGNED_ZERO_SEQS))
+def test_run_degroot_from_signed_zeros_matches_per_step_loop(name):
+    seq, x0 = _SIGNED_ZERO_SEQS[name]
+    ref = _reference_run_rai(seq, x0, DisturbancePolicy.zero(), 6)
+    _assert_same(run_degroot(seq, x0, 6), ref)
+
+
+@pytest.mark.parametrize("d_star", [0, 1])  # a stacked state of N = 1 and N = 2
+def test_run_delayed_rai_from_signed_zeros_matches_per_step_loop(d_star):
+    seq = MatrixSequence.constant([[1.0]])
+    delays = DelaySpec.constant([[0]], d_star=d_star)
+    history = [[-0.0]] * (d_star + 1)
+    policy = DisturbancePolicy.zero()
+    traj = run_delayed_rai(seq, delays, history, policy, 6)
+    _assert_same(traj, _reference_run_delayed_rai(seq, delays, history, policy, 6))
+
+
+@pytest.mark.parametrize("x0", [[-0.0], [-0.0, -0.0, 3.0]])
+@pytest.mark.parametrize("truth", [0.0, -1.0])
+def test_run_hk_from_signed_zeros_matches_list_loop(x0, truth):
+    cfg = HkConfig(epsilon=1.0, truth=truth)
+    traj, report = run_hk(x0, cfg, 6)
+    ref, ref_report = _reference_run_hk(x0, cfg, 6)
+    _assert_same(traj, ref)
+    assert report == ref_report
+
+
+@pytest.mark.parametrize("A, x0", [([[1.0]], [-0.0]), ([[0.5, -0.5], [-0.5, 0.5]], [-0.0, 0.0])])
+def test_run_altafini_from_signed_zeros_matches_list_loop(A, x0):
+    seq = SignedMatrixSequence.constant(A)
+    _assert_same(run_altafini(seq, x0, 6), _reference_run_altafini(seq, x0, 6))
 
 
 def _raised(run):

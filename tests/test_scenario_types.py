@@ -128,6 +128,13 @@ WRONG_TYPES = [
     ("gossip", P + ("sequence", "schedule"), [[0, 1], [1, 2], [2, 0.0]]),
     ("graph", P + ("graph", "n"), 2.0),
     ("edgelist", P + ("n",), 2.5),
+    # policy numbers: no bools, no strings
+    ("gossip", P + ("policy", "scale"), True),
+    ("gossip", P + ("policy", "scale"), "0.01"),
+    ("gossip", P + ("policy", "decay"), True),
+    ("gossip", P + ("policy", "decay"), "0.9"),
+    ("rai", P + ("policy",), {"kind": "constant_random", "scale": True}),
+    ("rai", P + ("policy",), {"kind": "constant_random", "scale": "0.5"}),
 ]
 
 
