@@ -260,7 +260,9 @@ def _run_simulate_rai(params: dict, seed: int) -> tuple[dict, int, dict]:
     steps = _field(params, "steps", "integer")
     policy = _policy_from(_field(params, "policy", "object", None), seed)
     if "delays" in params:
-        delays = DelaySpec.from_json_obj(_field(params, "delays", "object"))
+        spec = _field(params, "delays", "object")
+        _field(spec, "tables", "integer array")  # DelaySpec checks d_star and period itself
+        delays = DelaySpec.from_json_obj(spec)
         history = [np.asarray(h, dtype=float) for h in _field(params, "history", "number array")]
         traj = run_delayed_rai(seq, delays, history, policy, steps)
     else:

@@ -524,20 +524,29 @@ class ConvergenceVerdict(Report):
         return all(s.kind == "converged" for s in self.statuses)
 
 
+def _tail(traj: Trajectory) -> np.ndarray:
+    """The last ``tail_window(steps)`` moves of a run, as its last w + 1
+    states.  A run of at most w steps raises: its tail would reach back to
+    x(0) and count the first move as part of the limit."""
+    steps = traj.steps
+    w = tail_window(steps)
+    if steps <= w:
+        raise ValueError(f"trajectory too short to classify: {steps} steps, need more than {w}")
+    return traj.states[-(w + 1) :]
+
+
 @np.errstate(over="ignore")  # an infinite spread is no consensus
 def classify(traj: Trajectory) -> ConvergenceVerdict:
-    """Classify each agent over the final tail window.
+    """Classify each agent over the final tail window of w =
+    ``tail_window(steps)`` moves; the run must be longer than w steps.
 
     converged: total variation of the agent's tail below consensus_tol
     (limit = final value).  diverging_to_minus_infinity: final value below
     -divergence_floor and non-increasing over the tail.  Anything else:
     oscillating.  residual_vanishes per agent: largest tail disturbance
     below residual_tol."""
-    steps = traj.steps
-    w = tail_window(steps)
-    if steps < w:
-        raise ValueError(f"trajectory too short to classify: {steps} < {w} steps")
-    tail = traj.states[-(w + 1) :]
+    tail = _tail(traj)
+    w = tail.shape[0] - 1
     moves = np.abs(np.diff(tail, axis=0))
     tv = moves.sum(axis=0)
     statuses = []

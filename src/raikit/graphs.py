@@ -171,10 +171,8 @@ class Cut:
             raise ValueError(f"cut does not partition 0..{n - 1}")
 
 
-# Rows per membership block of ``cut_blocks``: blocks grow from one row by
-# doubling up to this cap, and the arrays built per block stay
-# O(CUT_BLOCK_ROWS * n).  No caller stops at an early cut any more, so the
-# doubling saves no work; it stays because a test pins the block sizes.
+# Rows per membership block of ``cut_blocks``: every block but the last has
+# this many, so the arrays built per block stay O(CUT_BLOCK_ROWS * n).
 CUT_BLOCK_ROWS = 1024
 
 
@@ -191,14 +189,12 @@ def cut_blocks(n: int) -> Iterator[tuple[int, np.ndarray]]:
         raise ValueError(
             f"cut enumeration limited to n <= {CUT_ENUMERATION_LIMIT}, got n = {n}"
         )
-    bounds = []
-    first, size, end = 1, 1, (1 << n) - 1
-    while first < end:
-        bounds.append((first, min(first + size, end)))
-        first += size
-        size = min(2 * size, CUT_BLOCK_ROWS)
+    end = (1 << n) - 1
     bits = 1 << np.arange(n)
-    return ((lo, (np.arange(lo, hi)[:, None] & bits) != 0) for lo, hi in bounds)
+    return (
+        (lo, (np.arange(lo, min(lo + CUT_BLOCK_ROWS, end))[:, None] & bits) != 0)
+        for lo in range(1, end, CUT_BLOCK_ROWS)
+    )
 
 
 def block_flows(X: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -6,19 +6,19 @@ to exactly 0.0 once, so the zero/nonzero pattern (hence the induced graph) is
 deterministic; stochastic rows are then renormalized and compensated so each
 row sums to exactly 1.0 in floating point, which makes validation idempotent.
 
-A matrix is accepted in one pass: a flushed C-order copy, the largest bit
-pattern of its entries and its row sums.  No separate ``isfinite`` pass is
-needed: a NaN, a negative entry or an infinity fails the bit-pattern bound,
-and so does an entry above 1 + ROW_SUM_TOL, whose row cannot pass the
-row-sum tolerance either.  Only a rejected matrix is diagnosed step by step,
-and the first failing check names the error, in this order: shape (square),
-n, finite, nonnegative, row sums.
+Both classes validate through one ordered pass: a flushed C-order copy, the
+largest bit pattern of its entries and its row sums.  An accepted matrix
+needs no separate ``isfinite`` pass: a NaN, a negative entry or an infinity
+fails the bit-pattern bound, and so does an entry above 1 + ROW_SUM_TOL,
+whose row cannot pass the row-sum tolerance either.  Only after a failed
+bound do the finite and sign checks run, so the first failing check names
+the error, in this order: shape (square), n, finite, nonnegative, row sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, TypeVar
 
 import numpy as np
 
@@ -45,45 +45,32 @@ __all__ = [
 ]
 
 
-def _checked_entries(n: int, entries) -> tuple[np.ndarray, np.ndarray]:
-    """Diagnosis of a matrix the accepting pass turned down, shared by both
-    classes: a finite n x n array, flushed into a new array, with no
-    negative entry left, and its row sums.  A finite row that overflows
-    sums to +inf, which the row-sum checks reject, without a warning."""
-    e = np.asarray(entries, dtype=float)
-    if e.ndim != 2 or e.shape[0] != e.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {e.shape}")
-    if e.shape[0] != n:
-        raise ValueError("n does not match matrix shape")
-    if not np.isfinite(e).all():
-        raise ValueError("entries must be finite")
-    e = e.copy()  # C order, whatever the input's layout
-    e[np.abs(e) < ENTRY_FLUSH] = 0.0
-    if (e < 0).any():
-        raise ValueError("entries must be nonnegative")
-    with np.errstate(over="ignore"):
-        return e, e.sum(axis=1)
-
-
 # Nonnegative floats order like their bit patterns read as unsigned integers;
 # a sign bit, a NaN or an infinity reads larger than 1 + ROW_SUM_TOL.
 _TOP_BITS = int(np.float64(1.0 + ROW_SUM_TOL).view(np.uint64))
 
 
-def _flushed(n: int, entries) -> tuple[np.ndarray | None, np.ndarray]:
-    """Accepting pass shared by both classes: a flushed C-order float copy
-    of an n x n matrix and its row sums, or None and no sums when the shape
-    is wrong or an entry is not in [0, 1 + ROW_SUM_TOL].  Such an entry is
-    NaN, negative or infinite, or its row sums above 1 + ROW_SUM_TOL, so the
-    caller's diagnosis rejects the matrix either way; with every entry
-    bounded, no row sum can overflow."""
+def _validated(n: int, entries) -> tuple[np.ndarray, np.ndarray]:
+    """Checks shared by both classes: a flushed C-order float copy of an
+    n x n matrix, finite and nonnegative, and its row sums.  When every
+    entry lies in [0, 1 + ROW_SUM_TOL] the copy is all of that and no row
+    sum can overflow.  Otherwise an entry is NaN, infinite or negative,
+    which raises here, or its row sums above 1 + ROW_SUM_TOL (to +inf,
+    without a warning, if the sum overflows), which the caller rejects."""
     e = np.array(entries, dtype=float, order="C")
-    if e.shape != (n, n):
-        return None, np.empty(0)
+    if e.shape != (n, n):  # one tuple compare on the accepting path
+        if e.ndim != 2 or e.shape[0] != e.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {e.shape}")
+        raise ValueError("n does not match matrix shape")
     e[np.abs(e) < ENTRY_FLUSH] = 0.0  # -0.0 becomes +0.0 here
-    if not e.view(np.uint64).max(initial=0) <= _TOP_BITS:
-        return None, np.empty(0)
-    return e, e.sum(axis=1)
+    if e.view(np.uint64).max(initial=0) <= _TOP_BITS:
+        return e, e.sum(axis=1)
+    if not np.isfinite(e).all():
+        raise ValueError("entries must be finite")
+    if (e < 0).any():
+        raise ValueError("entries must be nonnegative")
+    with np.errstate(over="ignore"):
+        return e, e.sum(axis=1)
 
 
 def _nudge_to_unit_sum(row: np.ndarray) -> bool:
@@ -101,28 +88,44 @@ def _nudge_to_unit_sum(row: np.ndarray) -> bool:
     return float(row.sum()) == 1.0
 
 
+_M = TypeVar("_M", bound="_SquareMatrix")
+
+
 @dataclass(frozen=True, eq=False)
-class RowStochasticMatrix:
-    """Nonnegative square matrix whose rows each sum to exactly 1.0 after
-    validation (input row sums may deviate by up to ``ROW_SUM_TOL``).
-    Equal when the validated entries are identical; unhashable."""
+class _SquareMatrix:
+    """Fields and graph shared by both matrix classes, each of which
+    validates ``entries`` in its own ``__post_init__``.  Equal when the
+    validated entries are identical; unhashable."""
 
     n: int
     entries: np.ndarray
 
+    __eq__ = fields_equal
+    __hash__ = None  # type: ignore[assignment]
+
+    @classmethod
+    def from_rows(cls: type[_M], rows: Iterable[Iterable[float]]) -> _M:
+        e = np.asarray(list(rows), dtype=float)
+        return cls(n=e.shape[0], entries=e)
+
+    def graph(self) -> WeightedDigraph:
+        return WeightedDigraph(n=self.n, weights=self.entries)
+
+
+@dataclass(frozen=True, eq=False)
+class RowStochasticMatrix(_SquareMatrix):
+    """Nonnegative square matrix whose rows each sum to exactly 1.0 after
+    validation (input row sums may deviate by up to ``ROW_SUM_TOL``)."""
+
     def __post_init__(self) -> None:
-        e, sums = _flushed(self.n, self.entries)
+        e, sums = _validated(self.n, self.entries)
         off = []
         for i, s in enumerate(sums.tolist()):
             if not abs(s - 1.0) <= ROW_SUM_TOL:
-                e = None
-                break
+                bad = int(np.argmax(np.abs(sums - 1.0)))
+                raise ValueError(f"row {bad} sums to {float(sums[bad])!r}, outside 1 +/- {ROW_SUM_TOL}")
             if s != 1.0:
                 off.append(i)
-        if e is None:
-            e, sums = _checked_entries(self.n, self.entries)
-            bad = int(np.argmax(np.abs(sums - 1.0)))
-            raise ValueError(f"row {bad} sums to {float(sums[bad])!r}, outside 1 +/- {ROW_SUM_TOL}")
         if off:
             # x / 1.0 is x, so the rows already exact keep their bits
             e /= sums[:, None]
@@ -133,64 +136,35 @@ class RowStochasticMatrix:
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
-    __eq__ = fields_equal
-    __hash__ = None  # type: ignore[assignment]
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[float]]) -> "RowStochasticMatrix":
-        e = np.asarray(list(rows), dtype=float)
-        return cls(n=e.shape[0], entries=e)
-
-    def graph(self) -> WeightedDigraph:
-        return WeightedDigraph(n=self.n, weights=self.entries)
-
 
 @dataclass(frozen=True, eq=False)
-class SubstochasticMatrix:
+class SubstochasticMatrix(_SquareMatrix):
     """Nonnegative square matrix with row sums at most 1.
 
     Rows whose input sum lies in (1, 1 + ROW_SUM_TOL] are scaled down to sum
     exactly 1, so the spectral radius is bounded by 1 in floating point.
     ``deficiency_set`` collects the rows with sum < 1 - ROW_SUM_TOL.
-    Equal when the validated entries are identical; unhashable.
     """
 
-    n: int
-    entries: np.ndarray
     deficiency_set: frozenset[int] = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        e, sums = _flushed(self.n, self.entries)
+        e, sums = _validated(self.n, self.entries)
         over, deficient = [], []
         for i, s in enumerate(sums.tolist()):
             if not s <= 1.0 + ROW_SUM_TOL:
-                e = None
-                break
+                bad = int(np.argmax(sums))
+                raise ValueError(f"row {bad} sums to {float(sums[bad])!r}, above 1 + {ROW_SUM_TOL}")
             if s > 1.0:
                 over.append(i)
             elif s < 1.0 - ROW_SUM_TOL:
                 deficient.append(i)
-        if e is None:
-            e, sums = _checked_entries(self.n, self.entries)
-            bad = int(np.argmax(sums))
-            raise ValueError(f"row {bad} sums to {float(sums[bad])!r}, above 1 + {ROW_SUM_TOL}")
         if over:
             # rows scaled down sum to 1 and are not deficient either way
             e[over] /= sums[over, None]
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
         object.__setattr__(self, "deficiency_set", frozenset(deficient))
-
-    __eq__ = fields_equal
-    __hash__ = None  # type: ignore[assignment]
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[float]]) -> "SubstochasticMatrix":
-        e = np.asarray(list(rows), dtype=float)
-        return cls(n=e.shape[0], entries=e)
-
-    def graph(self) -> WeightedDigraph:
-        return WeightedDigraph(n=self.n, weights=self.entries)
 
 
 @dataclass(frozen=True)

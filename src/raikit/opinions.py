@@ -11,11 +11,11 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .engine import Trajectory, _check_x0, _iterate, _matvec
+from .engine import Trajectory, _check_x0, _iterate, _matvec, _tail
 from .graphs import Report, WeightedDigraph, reachable
 from .matrices import RowStochasticMatrix
 from .sequences import IndexedSequence, MatrixSequence
-from .tolerances import CLUSTER_TOL, CONSENSUS_TOL, FEAS_TOL, tail_window
+from .tolerances import CLUSTER_TOL, CONSENSUS_TOL, FEAS_TOL
 
 __all__ = [
     "HkConfig",
@@ -266,11 +266,9 @@ class ModulusConsensusVerdict(Report):
 
 
 def modulus_consensus_verdict(traj: Trajectory) -> ModulusConsensusVerdict:
-    steps = traj.steps
-    w = tail_window(steps)
-    if steps < w:
-        raise ValueError(f"trajectory too short: {steps} < {w} steps")
-    mags = np.abs(traj.states[-(w + 1) :])
+    """Read the magnitudes over the same tail as ``classify``; the run must
+    be longer than ``tail_window(steps)`` steps."""
+    mags = np.abs(_tail(traj))
     tv = np.abs(np.diff(mags, axis=0)).sum(axis=0)
     final = mags[-1]
     settled = bool(np.all(tv < CONSENSUS_TOL))

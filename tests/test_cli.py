@@ -309,6 +309,16 @@ def test_trajectory_shorter_than_tail_window_exit_two(tmp_path, capsys):
     assert not (tmp_path / "short.verdict.json").exists()
 
 
+def test_trajectory_as_long_as_its_tail_window_exit_two(tmp_path, capsys):
+    sc = _rai_scenario(name="tail", steps=50)
+    sc["parameters"]["policy"] = {"kind": "zero"}
+    ref = _write(tmp_path, sc)
+    assert main(["--out-dir", str(tmp_path), "simulate", ref]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: validation: trajectory too short to classify: 50 steps, need more than 50\n"
+    assert not (tmp_path / "tail.verdict.json").exists()
+
+
 @pytest.mark.parametrize(
     "kind, message",
     [

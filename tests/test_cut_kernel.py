@@ -214,7 +214,7 @@ def test_certificate_constant_matches_per_cut_loop(n, cells, symmetric):
 # The kernel itself.
 
 
-def test_cut_blocks_follow_all_cuts_order_in_doubling_blocks():
+def test_cut_blocks_follow_all_cuts_order_in_blocks():
     n = 12
     rows, sizes, nxt = [], [], 1
     for first, X in cut_blocks(n):
@@ -223,7 +223,7 @@ def test_cut_blocks_follow_all_cuts_order_in_doubling_blocks():
         sizes.append(len(X))
         rows.extend(frozenset(np.flatnonzero(r).tolist()) for r in X)
     assert rows == [c.left for c in all_cuts(n)]
-    assert sizes[:11] == [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, CUT_BLOCK_ROWS]
+    assert all(size == CUT_BLOCK_ROWS for size in sizes[:-1])
     assert max(sizes) == CUT_BLOCK_ROWS
     assert list(cut_blocks(1)) == []
 

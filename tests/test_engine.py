@@ -15,6 +15,7 @@ from raikit import (
     flow_contraction_bound,
     flow_contraction_bound_delayed,
     gossip_sequence,
+    modulus_consensus_verdict,
     run_altafini,
     run_degroot,
     run_delayed_rai,
@@ -320,3 +321,26 @@ def test_non_finite_state_raises():
     assert np.isfinite(run_rai(seq, [1.0, 2.0, 3.0], policy, 350).states).all()
     with pytest.raises(ValueError, match=r"^state became non-finite at step 351$"):
         run_rai(seq, [1.0, 2.0, 3.0], policy, 400)
+
+
+def _halving_run(steps):
+    seq = MatrixSequence.constant([[0.5, 0.5], [0.5, 0.5]])
+    return run_rai(seq, [1.0, 0.0], DisturbancePolicy.zero(), steps)
+
+
+def test_a_run_no_longer_than_its_tail_is_not_classified():
+    # At 50 steps the tail of 50 moves would include the move away from x(0).
+    traj = _halving_run(50)
+    message = "^trajectory too short to classify: 50 steps, need more than 50$"
+    with pytest.raises(ValueError, match=message):
+        classify(traj)
+    with pytest.raises(ValueError, match=message):
+        modulus_consensus_verdict(traj)
+
+
+def test_a_run_one_step_past_its_tail_is_classified():
+    traj = _halving_run(51)
+    verdict = classify(traj)
+    assert [s.kind for s in verdict.statuses] == ["converged", "converged"]
+    assert verdict.consensus and verdict.consensus_value == 0.5
+    assert modulus_consensus_verdict(traj).modulus_consensus

@@ -214,3 +214,33 @@ def test_value_equality_returns_bools_and_stays_unhashable():
     # a sequence's horizon is part of its value
     one = MatrixSequence.explicit([np.eye(2)], period=1)
     assert one != MatrixSequence.explicit([np.eye(2)], period=1, horizon_K=5)
+
+
+@pytest.mark.parametrize("n", [1, 3, 64])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_accepted_matrices_take_no_finite_pass(monkeypatch, n, order):
+    """The finite check runs only after the bit-pattern bound fails, so it
+    stays off the path of every matrix that is accepted."""
+    rng = np.random.default_rng(n)
+    raw = rng.random((n, n)) + 0.1
+    if n > 1:
+        raw[:, 0] = 1e-16  # tiny entries to flush
+    stochastic = raw / raw.sum(axis=1, keepdims=True)
+    stochastic[0] *= 1.0 + 1e-12  # a row to renormalize
+    sub = stochastic * 0.9
+    sub[-1] = stochastic[-1] * (1.0 + 1e-12)  # a row to scale down
+    calls, isfinite = [], np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda *args, **kw: calls.append(1) or isfinite(*args, **kw))
+    W = RowStochasticMatrix(n=n, entries=np.array(stochastic, order=order))
+    A = SubstochasticMatrix(n=n, entries=np.array(sub, order=order))
+    assert calls == []
+    assert np.all(W.entries.sum(axis=1) == 1.0) and float(A.entries[-1].sum()) <= 1.0
+    if n > 1:
+        assert not W.entries[:, 0].any()  # flushed
+    nan = W.entries.copy()
+    nan[-1, -1] = np.nan
+    for cls in (RowStochasticMatrix, SubstochasticMatrix):
+        calls.clear()
+        with pytest.raises(ValueError, match="^entries must be finite$"):
+            cls(n=n, entries=nan)
+        assert calls == [1]

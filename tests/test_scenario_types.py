@@ -135,6 +135,11 @@ WRONG_TYPES = [
     ("gossip", P + ("policy", "decay"), "0.9"),
     ("rai", P + ("policy",), {"kind": "constant_random", "scale": True}),
     ("rai", P + ("policy",), {"kind": "constant_random", "scale": "0.5"}),
+    # delay tables: integers at any depth, no strings, floats or bools
+    ("delayed", P + ("delays", "tables"), [[["0", 1], [0, 0]]]),
+    ("delayed", P + ("delays", "tables"), [[[0, 1.0], [0, 0]]]),
+    ("delayed", P + ("delays", "tables"), [[[0, True], [0, 0]]]),
+    ("delayed", P + ("delays", "tables"), "x"),
 ]
 
 
