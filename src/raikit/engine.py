@@ -597,24 +597,24 @@ def _windowed_inflow(
     seq: MatrixSequence, cut: Cut, k0: int, k0p: int, k1: int, eta: float
 ) -> float:
     """Weight sum across the cut into its left side over [k0', k1], after
-    checking the diagonal floor w_ii(k) >= eta on [k0, k1]."""
+    checking the diagonal floor w_ii(k) >= eta on [k0, k1].  Both come from
+    one ``seq.block``, read whole first; the step sums add in step order."""
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
     if not 0 <= k0 <= k0p <= k1:
         raise ValueError("need 0 <= k0 <= k0' <= k1")
-    sub = np.ix_(*_cut_lists(cut, seq.n))
-    flow = 0.0
-    for k in range(k0, k1 + 1):
-        W = seq.matrix(k).entries
-        diag = np.diag(W)
-        if np.any(diag < eta):
-            bad = int(np.argmin(diag))
-            raise ValueError(
-                f"diagonal weight {float(diag[bad])!r} of agent {bad} at step {k} is below eta={eta}"
-            )
-        if k >= k0p:
-            flow += float(W[sub].sum())
-    return flow
+    left, right = _cut_lists(cut, seq.n)
+    block = seq.block(k0, k1 + 1)
+    diag = np.diagonal(block, axis1=1, axis2=2)
+    low = (diag < eta).any(axis=1)
+    if low.any():
+        k = int(np.argmax(low))
+        bad = int(np.argmin(diag[k]))
+        raise ValueError(
+            f"diagonal weight {float(diag[k, bad])!r} of agent {bad} at step {k0 + k} is below eta={eta}"
+        )
+    cross = block[k0p - k0 :][:, left][:, :, right]
+    return float(np.cumsum(cross.reshape(len(cross), -1).sum(axis=1))[-1])
 
 
 def flow_contraction_bound(

@@ -139,10 +139,10 @@ class RowStochasticMatrix(_SquareMatrix):
 
 @dataclass(frozen=True, eq=False)
 class SubstochasticMatrix(_SquareMatrix):
-    """Nonnegative square matrix with row sums at most 1.
+    """Nonnegative square matrix with input row sums at most 1 + ROW_SUM_TOL.
 
-    Rows whose input sum lies in (1, 1 + ROW_SUM_TOL] are scaled down to sum
-    exactly 1, so the spectral radius is bounded by 1 in floating point.
+    Rows whose sum lies in (1, 1 + ROW_SUM_TOL] are only divided by it, not
+    nudged, so they sum to 1 within a few ulp either side, never deficient.
     ``deficiency_set`` collects the rows with sum < 1 - ROW_SUM_TOL.
     """
 
@@ -160,7 +160,7 @@ class SubstochasticMatrix(_SquareMatrix):
             elif s < 1.0 - ROW_SUM_TOL:
                 deficient.append(i)
         if over:
-            # rows scaled down sum to 1 and are not deficient either way
+            # divided rows sum to 1 within a few ulp, never deficient
             e[over] /= sums[over, None]
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)

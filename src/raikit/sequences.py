@@ -179,6 +179,17 @@ class MatrixSequence:
     def matrix(self, k: int) -> RowStochasticMatrix:
         return self._store.at(k)
 
+    def block(self, k0: int, k1: int) -> np.ndarray:
+        """W(k0), ..., W(k1-1) as one read-only (k1-k0, n, n) array, every
+        step read through ``matrix`` first: past the end of a finite list
+        that raises "has no term k=...", before a caller decides anything."""
+        if not 0 <= k0 <= k1:
+            raise ValueError("block needs 0 <= k0 <= k1")
+        mats = [self.matrix(k).entries for k in range(k0, k1)]
+        out = np.array(mats).reshape(len(mats), self.n, self.n)
+        out.setflags(write=False)
+        return out
+
     def known_length(self) -> int | None:
         """Length of the explicitly stored aperiodic list, else None."""
         if self.matrices is not None and self.period == 0:
@@ -218,18 +229,14 @@ def persistent_graph(seq: MatrixSequence) -> PersistentGraphEstimate:
     n, p = seq.n, seq.period
     horizon = _default_horizon(seq)
     if p > 0:
-        period_sum = np.zeros((n, n))
-        for k in range(p):
-            period_sum += seq.matrix(k).entries
+        period_sum = seq.block(0, p).sum(axis=0)
         full, rem = divmod(max(horizon, p), p)
         partial = full * period_sum
-        for k in range(rem):
-            partial += seq.matrix(k).entries
+        for W in seq.block(0, rem):
+            partial += W
         adjacency = period_sum > 0
     else:
-        partial = np.zeros((n, n))
-        for k in range(horizon):
-            partial += seq.matrix(k).entries
+        partial = seq.block(0, horizon).sum(axis=0)
         adjacency = partial >= DIVERGENCE_THRESHOLD
     return PersistentGraphEstimate(
         graph=WeightedDigraph(n=n, weights=adjacency.astype(float)),
@@ -253,8 +260,8 @@ def _check_sets(n: int, I: Iterable[int], J: Iterable[int]) -> tuple[list[int], 
 
 def arc_count(seq: MatrixSequence, I: Iterable[int], J: Iterable[int], k0: int, k1: int) -> int:
     """Number of distinct pairs (i, j) in I x J with w_ij(k) > 0 for some
-    k in the inclusive window [k0, k1].  Each pair counts once no matter
-    how often the arc fires."""
+    k in the inclusive window [k0, k1], read whole (at most one period).
+    Each pair counts once no matter how often the arc fires."""
     Il, Jl = _check_sets(seq.n, I, J)
     if k0 < 0 or k1 < k0:
         raise ValueError("window must satisfy 0 <= k0 <= k1")
@@ -262,13 +269,7 @@ def arc_count(seq: MatrixSequence, I: Iterable[int], J: Iterable[int], k0: int, 
     if seq.period > 0:
         # A full period exhausts every arc the sequence will ever show.
         end = min(k1, k0 + seq.period - 1)
-    seen = np.zeros((len(Il), len(Jl)), dtype=bool)
-    sub = np.ix_(Il, Jl)
-    for k in range(k0, end + 1):
-        seen |= seq.matrix(k).entries[sub] > 0
-        if seen.all():
-            break
-    return int(seen.sum())
+    return int((seq.block(k0, end + 1)[:, Il][:, :, Jl] > 0).any(axis=0).sum())
 
 
 @dataclass(frozen=True)
@@ -301,14 +302,14 @@ def check_reciprocity(seq: MatrixSequence, M: int, T: int) -> ReciprocityReport:
     period long cover every case: after one period a window and its response
     window have seen every arc they ever will).  Aperiodic: windows within
     the horizon only, and a violation is reported only when the full
-    response window fits inside it."""
+    response window fits inside it.  Every window's arcs come from one
+    ``seq.block``: one period, or the horizon if a response window fits."""
     if M < 1 or T < 0:
         raise ValueError("need M >= 1 and T >= 0")
     n, p = seq.n, seq.period
     k0_count, exact = (p, True) if p > 0 else (_default_horizon(seq, M, T), False)
-    # each step's arcs, read once: one period, or the horizon if a response fits
     span = p if p > 0 else (k0_count if T < k0_count else 0)
-    active = [seq.matrix(k).entries > 0 for k in range(span)]
+    active = seq.block(0, span) > 0
     for k0 in range(k0_count):
         k1_stop = k0 + p - 1 if p > 0 else k0_count - 1 - T  # the response window fits
         seen = np.zeros((n, n), dtype=bool)  # self-loops count in and out, so weigh 0
@@ -341,21 +342,22 @@ class UniformCutBalanceReport(Report):
     exact: bool
 
 
-def _window_sums(seq: MatrixSequence, L: int) -> tuple[list[np.ndarray], bool]:
-    """Entrywise sums over [k0, k0+L] for each window start k0 that matters,
-    and whether those starts cover every case: exactly the starts below the
-    period for periodic sequences, else the starts within the horizon."""
+def _window_sums(seq: MatrixSequence, L: int) -> tuple[np.ndarray, bool]:
+    """Entrywise sums over [k0, k0+L], row k0 of one (k0_count, n, n) array
+    for each window start k0 that matters (differences of the prefix sums of
+    one block), and whether those starts cover every case: exactly the
+    starts below the period for periodic sequences, else the horizon's."""
     if L < 0:
         raise ValueError("L must be >= 0")
     if seq.period > 0:
         k0_count, exact = seq.period, True
     else:
         k0_count, exact = max(_default_horizon(seq) - L, 1), False
-    n = seq.n
-    prefix = [np.zeros((n, n))]
-    for k in range(k0_count + L):
-        prefix.append(prefix[-1] + seq.matrix(k).entries)
-    return [prefix[k0 + L + 1] - prefix[k0] for k0 in range(k0_count)], exact
+    block = seq.block(0, k0_count + L)
+    prefix = np.zeros((k0_count + L + 1, seq.n, seq.n))
+    np.cumsum(block, axis=0, out=prefix[1:])
+    del block  # so the steps, the prefix and the windows are never held at once
+    return prefix[L + 1 :] - prefix[:k0_count], exact
 
 
 def check_uniform_cut_balance(seq: MatrixSequence, L: int) -> UniformCutBalanceReport:
@@ -377,7 +379,7 @@ def check_uniform_cut_balance(seq: MatrixSequence, L: int) -> UniformCutBalanceR
     return _uniform_cut_balance(seq.n, *_window_sums(seq, L))
 
 
-def _uniform_cut_balance(n: int, sums: list[np.ndarray], exact: bool) -> UniformCutBalanceReport:
+def _uniform_cut_balance(n: int, sums: np.ndarray, exact: bool) -> UniformCutBalanceReport:
     for k0, window in enumerate(sums):
         cut = _unbalanced_cut(WeightedDigraph(n=n, weights=window))
         if cut is not None:
@@ -404,20 +406,18 @@ def check_arc_balance(seq: MatrixSequence, L: int) -> ArcBalanceReport:
     return _arc_balance(persistent_graph(seq).graph, *_window_sums(seq, L))
 
 
-def _arc_balance(persistent: WeightedDigraph, sums: list[np.ndarray], exact: bool) -> ArcBalanceReport:
-    n = persistent.n
-    arcs = [(i, j) for i in range(n) for j in range(n) if i != j and persistent.weights[i][j] > 0]
-    if len(arcs) < 2:
+def _arc_balance(persistent: WeightedDigraph, sums: np.ndarray, exact: bool) -> ArcBalanceReport:
+    arcs = persistent.weights > 0
+    np.fill_diagonal(arcs, False)
+    ii, jj = np.nonzero(arcs)
+    if len(ii) < 2:
         return ArcBalanceReport(holds=True, C=1.0, exact=exact)
-    best = 1.0
-    for window in sums:
-        vals = [float(window[i, j]) for (i, j) in arcs]
-        hi, lo = max(vals), min(vals)
-        if hi > 0 and lo == 0:
-            return ArcBalanceReport(holds=False, C=None, exact=exact)
-        if lo > 0:
-            best = max(best, hi / lo)
-    return ArcBalanceReport(holds=True, C=best, exact=exact)
+    vals = sums[:, ii, jj]  # one row of persistent-arc sums per window
+    hi, lo = vals.max(axis=1), vals.min(axis=1)
+    if ((hi > 0) & (lo == 0)).any():
+        return ArcBalanceReport(holds=False, C=None, exact=exact)
+    flowing = lo > 0
+    return ArcBalanceReport(holds=True, C=float((hi[flowing] / lo[flowing]).max(initial=1.0)), exact=exact)
 
 
 def gossip_sequence(
@@ -483,8 +483,7 @@ def gossip_sequence(
             table[t] = fire_matrix(s)
         return MatrixSequence(n=n, period=period, matrices=tuple(table))
 
-    by_time = {t: s for s, t in enumerate(fire_times)}
-    fires = {t: fire_matrix(s) for t, s in by_time.items()}
+    fires = {t: fire_matrix(s) for s, t in enumerate(fire_times)}
 
     def gen(k: int):
         return fires.get(k, identity)

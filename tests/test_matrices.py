@@ -14,6 +14,7 @@ from raikit import (
     spectral_radius,
     stochastic_completion,
 )
+from raikit.tolerances import ROW_SUM_TOL
 
 FRENCH = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [1 / 3, 1 / 3, 1 / 3]])
 
@@ -56,6 +57,20 @@ def test_substochastic_validation_and_deficiency():
         SubstochasticMatrix(n=2, entries=np.array([[0.8, 0.3], [0.5, 0.5]]))
     with pytest.raises(ValueError):
         SubstochasticMatrix(n=2, entries=np.array([[-0.1, 0.5], [0.5, 0.5]]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 20])
+def test_substochastic_rows_scaled_down_sum_to_one_within_rounding(n):
+    """Rows with sum in (1, 1 + ROW_SUM_TOL] are only divided by their sum,
+    so they may end a few ulp above or below 1, but never deficient."""
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        raw = rng.random((n, n))
+        raw /= raw.sum(axis=1, keepdims=True)
+        raw *= 1.0 + rng.uniform(0.0, ROW_SUM_TOL, (n, 1))
+        A = SubstochasticMatrix(n=n, entries=raw)
+        assert np.all(np.abs(A.entries.sum(axis=1) - 1.0) <= n * np.finfo(float).eps)
+        assert A.deficiency_set == frozenset()
 
 
 def test_sia_leader_chain():
