@@ -50,10 +50,9 @@ from .opinions import (
 )
 from .sequences import (
     MatrixSequence,
-    _arc_balance,
-    _uniform_cut_balance,
-    _window_sums,
+    check_arc_balance,
     check_reciprocity,
+    check_uniform_cut_balance,
     gossip_sequence,
     persistent_graph,
 )
@@ -244,13 +243,12 @@ def _run_check_sequence(params: dict, seed: int) -> tuple[dict, int, dict]:
     L = _field(params, "L", "integer", 0)
     pg = persistent_graph(seq)
     reciprocity = check_reciprocity(seq, M, T)
-    sums, exact = _window_sums(seq, L)  # shared by both balance checks
     verdict = {
         "persistent_arcs": json_form(pg.graph.arc_set()),
         "persistent_exact": pg.exact,
         "reciprocity": reciprocity.to_json_obj(),
-        "uniform_cut_balance": _uniform_cut_balance(seq.n, sums, exact).to_json_obj(),
-        "arc_balance": _arc_balance(pg.graph, sums, exact).to_json_obj(),
+        "uniform_cut_balance": check_uniform_cut_balance(seq, L).to_json_obj(),
+        "arc_balance": check_arc_balance(seq, L).to_json_obj(),
     }
     return verdict, 0, {}
 

@@ -481,10 +481,9 @@ def run_delayed_rai(
         W = seq.matrix(k)
         table = delays.table(k)
         key = (id(W), table.tobytes())
-        Xi = stacked_cache.get(key)
-        if Xi is None:
-            Xi = stacked_cache[key] = _stack(W, table, ds)
-        y[:] = matvec(Xi.entries, y)
+        if key not in stacked_cache:  # the entry holds W, so its id stays W's
+            stacked_cache[key] = (W, _stack(W, table, ds))
+        y[:] = matvec(stacked_cache[key][1].entries, y)
         y[:n] -= delta
         wm = float(y.max())
         prev = float(window_max[k])

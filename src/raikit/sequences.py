@@ -9,7 +9,7 @@ are truncated at a horizon and the verdicts are documented heuristics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
@@ -72,7 +72,6 @@ class IndexedSequence:
         period: int = 0,
         items: Iterable | None = None,
         generator: Callable[[int], object] | None = None,
-        cache: dict | None = None,
         hold_last: bool = False,
     ) -> None:
         if period < 0:
@@ -92,7 +91,7 @@ class IndexedSequence:
         self.period = period
         self.items = items
         self.generator = generator
-        self.cache = {} if cache is None else cache
+        self.cache = {}
         self.hold_last = hold_last
 
     def at(self, k: int):
@@ -133,17 +132,15 @@ class MatrixSequence:
     horizon_K: int | None = None
     matrices: tuple | None = None
     generator: Callable[[int], object] | None = None
-    cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     __hash__ = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be positive")
-        store = IndexedSequence(
-            partial(_coerce, self.n), self.period, self.matrices, self.generator, self.cache
-        )
+        store = IndexedSequence(partial(_coerce, self.n), self.period, self.matrices, self.generator)
         object.__setattr__(self, "_store", store)
+        object.__setattr__(self, "cache", store.cache)
         object.__setattr__(self, "matrices", store.items)
         if self.generator is not None and self.period > 0:
             # Spot-check the declared period on the generator once.
@@ -376,12 +373,9 @@ def check_uniform_cut_balance(seq: MatrixSequence, L: int) -> UniformCutBalanceR
     per-window constants, by blockwise enumeration of all cuts (O(2^n n^2)
     per window).  Above ``CUT_ENUMERATION_LIMIT`` nodes the verdict and
     witness are still decided and C is None."""
-    return _uniform_cut_balance(seq.n, *_window_sums(seq, L))
-
-
-def _uniform_cut_balance(n: int, sums: np.ndarray, exact: bool) -> UniformCutBalanceReport:
+    sums, exact = _window_sums(seq, L)
     for k0, window in enumerate(sums):
-        cut = _unbalanced_cut(WeightedDigraph(n=n, weights=window))
+        cut = _unbalanced_cut(WeightedDigraph(n=seq.n, weights=window))
         if cut is not None:
             return UniformCutBalanceReport(holds=False, C=None, witness=(cut, k0), exact=exact)
     constants = [_cut_constant(window) for window in sums]
@@ -403,12 +397,9 @@ def check_arc_balance(seq: MatrixSequence, L: int) -> ArcBalanceReport:
     pinned by stochasticity, not by reciprocity; only inter-agent arcs
     carry balance information).  Fewer than two persistent arcs: holds
     with C=1."""
-    return _arc_balance(persistent_graph(seq).graph, *_window_sums(seq, L))
-
-
-def _arc_balance(persistent: WeightedDigraph, sums: np.ndarray, exact: bool) -> ArcBalanceReport:
-    arcs = persistent.weights > 0
+    arcs = persistent_graph(seq).graph.weights > 0  # before the window sums: its error wins
     np.fill_diagonal(arcs, False)
+    sums, exact = _window_sums(seq, L)
     ii, jj = np.nonzero(arcs)
     if len(ii) < 2:
         return ArcBalanceReport(holds=True, C=1.0, exact=exact)

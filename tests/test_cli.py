@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, artifacts, determinism, catalog."""
 
+import ast
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import raikit.cli
 from raikit import Trajectory, WeightedDigraph, strong_components
 from raikit.cli import SCHEMA_VERSION, list_bundled, main, run_scenario
 
@@ -254,6 +256,53 @@ def test_check_sequence_scenario(tmp_path):
     assert sorted(map(tuple, v["persistent_arcs"])) == sorted(
         [(0, 1), (1, 2), (2, 0), (0, 0), (1, 1), (2, 2)]
     )
+
+
+def test_check_goes_through_the_four_public_checkers(tmp_path, monkeypatch):
+    calls = []
+    names = ("persistent_graph", "check_reciprocity", "check_uniform_cut_balance", "check_arc_balance")
+    for name in names:
+        checker = getattr(raikit.cli, name)
+
+        def counted(*args, _name=name, _checker=checker):
+            calls.append(_name)
+            return _checker(*args)
+
+        monkeypatch.setattr(raikit.cli, name, counted)
+    rng = np.random.default_rng(7)
+    sc = {
+        "schema_version": SCHEMA_VERSION,
+        "name": "generated_check",
+        "kind": "check_sequence",
+        "parameters": {
+            "sequence": {
+                "kind": "gossip",
+                "n": 4,
+                "schedule": [[i, (i + 1) % 4] for i in range(4)] * 3,
+                "alphas": [float(a) for a in rng.uniform(0.1, 0.9, 12)],
+                "fire_times": sorted(int(t) for t in rng.choice(40, 12, replace=False)),
+            },
+            "M": 2,
+            "T": 1,
+            "L": 3,
+        },
+    }
+    assert main(["--out-dir", str(tmp_path), "check", _write(tmp_path, sc)]) == 0
+    assert calls == list(names)
+    v = json.loads((tmp_path / "generated_check.verdict.json").read_text())
+    assert {"reciprocity", "uniform_cut_balance", "arc_balance"} <= set(v)
+
+
+def test_cli_imports_no_private_name_from_sequences():
+    cli = Path(__file__).resolve().parents[1] / "src" / "raikit" / "cli.py"
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(cli.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "sequences" and node.level == 1
+        for alias in node.names
+    ]
+    assert "persistent_graph" in imported
+    assert [name for name in imported if name.startswith("_")] == []
 
 
 def test_every_bundled_scenario_has_a_golden():

@@ -204,6 +204,47 @@ def test_delayed_history_length_enforced():
         run_delayed_rai(W, spec, [np.zeros(2)], DisturbancePolicy.zero(), 5)
 
 
+def test_delayed_run_does_not_trust_a_reused_matrix_id():
+    # A generator that drops the cached matrices frees W(k-1) before W(k)
+    # exists, so W(k) may take its id; the run must still stack W(k) itself.
+    rng = np.random.default_rng(3)
+    raw = rng.random((40, 3, 3)) + 0.05
+    mats = raw / raw.sum(axis=2, keepdims=True)
+
+    def gen(k):
+        seq.cache.clear()
+        return mats[k]
+
+    seq = MatrixSequence.from_generator(gen, n=3)
+    spec = DelaySpec.constant([[0, 1, 0], [0, 0, 1], [1, 0, 0]], d_star=1)
+    hist = [np.array([1.0, 0.0, 0.5]), np.array([0.0, 1.0, 0.25])]
+    got = run_delayed_rai(seq, spec, hist, DisturbancePolicy.zero(), 40)
+    want = run_delayed_rai(MatrixSequence.explicit(mats), spec, hist, DisturbancePolicy.zero(), 40)
+    assert got.states.tobytes() == want.states.tobytes()
+
+
+def test_delay_table_errors_and_integral_floats():
+    with pytest.raises(ValueError, match="delay table must be square"):
+        DelaySpec.constant([[0, 1, 0], [0, 0, 0]], d_star=1)
+    spec = DelaySpec.constant([[0.0, 1.0], [2.0, 0.0]], d_star=2)
+    assert spec.table(0).dtype == np.int64 and spec.table(0).tolist() == [[0, 1], [2, 0]]
+    with pytest.raises(ValueError, match="delays must be integers"):
+        DelaySpec.constant([[0.0, 0.5], [1.0, 0.0]], d_star=1)
+    W = RowStochasticMatrix(n=3, entries=FRENCH)
+    with pytest.raises(ValueError, match="delay table does not match the matrix size"):
+        xiao_stack(W, [[0, 1], [0, 0]], 1)
+    with pytest.raises(ValueError, match="delay table does not match the matrix size"):
+        run_delayed_rai(
+            MatrixSequence.constant(FRENCH),
+            DelaySpec.constant([[0, 1], [0, 0]], d_star=1),
+            [np.zeros(3), np.zeros(3)],
+            DisturbancePolicy.zero(),
+            3,
+        )
+    with pytest.raises(ValueError, match="generator-backed delay specs have no JSON form"):
+        DelaySpec.from_function(lambda k: [[0, 1], [0, 0]], d_star=1).to_json_obj()
+
+
 def test_delayed_window_max_monotone():
     seq = MatrixSequence.constant(np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     spec = DelaySpec.constant([[0, 1, 0], [1, 0, 0], [0, 0, 0]], d_star=1)

@@ -328,3 +328,21 @@ def test_uniform_cut_balance_on_finite_explicit_sequence():
     assert check_uniform_cut_balance(MatrixSequence.explicit([np.eye(3), _sym_pair(3, 0, 1)]), 1).holds
     with pytest.raises(ValueError):
         check_uniform_cut_balance(seq, 3)  # no window of four steps fits
+
+
+def test_sequence_and_checker_argument_errors():
+    with pytest.raises(ValueError, match="n must be positive"):
+        MatrixSequence(n=0, matrices=(np.eye(1),))
+    two = RowStochasticMatrix(n=2, entries=np.eye(2))
+    with pytest.raises(ValueError, match="matrix is 2x2, sequence needs 3x3"):
+        MatrixSequence(n=3, period=1, matrices=(two,))
+    seq = MatrixSequence.constant(np.full((3, 3), 1 / 3))
+    for M, T in ((0, 0), (1, -1)):
+        with pytest.raises(ValueError, match="need M >= 1 and T >= 0"):
+            check_reciprocity(seq, M, T)
+    with pytest.raises(ValueError, match="node sets must be nonempty"):
+        arc_count(seq, [], [1], 0, 2)
+    with pytest.raises(ValueError, match="node 3 out of range"):
+        arc_count(seq, [0], [3], 0, 2)
+    with pytest.raises(ValueError, match="node sets must be disjoint"):
+        arc_count(seq, [0, 1], [1, 2], 0, 2)

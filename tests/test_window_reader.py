@@ -23,11 +23,11 @@ from raikit import (
 )
 from raikit.cli import SCHEMA_VERSION, main
 from raikit.engine import _windowed_inflow
-from raikit.graphs import _max_closure, reachable
+from raikit.graphs import _cut_constant, _max_closure, _unbalanced_cut, reachable
 from raikit.sequences import (
     ArcBalanceReport,
+    UniformCutBalanceReport,
     _default_horizon,
-    _uniform_cut_balance,
     _window_sums,
 )
 from raikit.tolerances import DIVERGENCE_THRESHOLD
@@ -69,6 +69,17 @@ def _reference_window_sums(seq, L):
     for k in range(k0_count + L):
         prefix.append(prefix[-1] + seq.matrix(k).entries)
     return [prefix[k0 + L + 1] - prefix[k0] for k0 in range(k0_count)], exact
+
+
+def _reference_uniform_cut_balance(n, sums, exact):
+    """Each window decided as a graph, then C over every window's cuts."""
+    for k0, window in enumerate(sums):
+        cut = _unbalanced_cut(WeightedDigraph(n=n, weights=window))
+        if cut is not None:
+            return UniformCutBalanceReport(holds=False, C=None, witness=(cut, k0), exact=exact)
+    constants = [_cut_constant(window) for window in sums]
+    C = None if None in constants else max(constants)
+    return UniformCutBalanceReport(holds=True, C=C, witness=None, exact=exact)
 
 
 def _reference_arc_balance(persistent, sums, exact):
@@ -217,7 +228,7 @@ def test_window_sums_and_balance_checks_match_the_step_loops(kind, seed):
         assert got_exact == exact
         assert sums.shape == (len(old_sums), seq.n, seq.n)
         assert sums.tobytes() == np.array(old_sums).tobytes()
-        uniform = _uniform_cut_balance(seq.n, old_sums, exact)
+        uniform = _reference_uniform_cut_balance(seq.n, old_sums, exact)
         assert check_uniform_cut_balance(seq, L).to_json() == uniform.to_json()
         arc = _reference_arc_balance(persistent, old_sums, exact)
         assert check_arc_balance(seq, L).to_json() == arc.to_json()
