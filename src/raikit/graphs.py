@@ -459,7 +459,8 @@ def cut_balance_certificate(g: WeightedDigraph) -> CutBalanceCertificate:
     least 1, since complementary cuts give reciprocal ratios; 1 when no arc
     crosses any cut), computed from ``cut_blocks`` over the 2^(n-1) - 1
     cuts that keep node n-1 on the right, each with its complement:
-    O(2^n n^2) arithmetic in blocks of at most ``CUT_BLOCK_ROWS`` cuts.  Above
+    O(2^n n^2) arithmetic in blocks of at most ``CUT_BLOCK_ROWS`` cuts.
+    Symmetric weights skip the enumeration: their C is exactly 1.0.  Above
     ``CUT_ENUMERATION_LIMIT`` it is reported as None.  When unbalanced,
     ``witness_cut`` is the downstream closure of a component that receives
     flow: one cross-flow positive and the opposite one zero.  The verdict
@@ -495,8 +496,10 @@ def _cut_constant(w: np.ndarray) -> float | None:
     n = len(w)
     if n > CUT_ENUMERATION_LIMIT:
         return None
-    # The reverse flows are taken on a contiguous transpose, so a symmetric
-    # w gives both einsums identical operands and ratios of exactly 1.
+    # Symmetric w gives every cut equal flows both ways; the einsums below
+    # would also give exactly 1.0, with identical operands.
+    if (w == w.T).all():
+        return 1.0
     wt = np.ascontiguousarray(w.T)
     # Masks from `half` on are the complements of the masks below it, whose
     # ratios are the reciprocals: half the cuts suffice.

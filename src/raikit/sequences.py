@@ -371,7 +371,7 @@ def check_uniform_cut_balance(seq: MatrixSequence, L: int) -> UniformCutBalanceR
     of a component that receives flow in that window and returns none.  Only
     when every window is balanced is C computed, as the largest of the
     per-window constants, by blockwise enumeration of all cuts (O(2^n n^2)
-    per window).  Above ``CUT_ENUMERATION_LIMIT`` nodes the verdict and
+    per window; none for a symmetric window, whose constant is 1.0).  Above ``CUT_ENUMERATION_LIMIT`` nodes the verdict and
     witness are still decided and C is None."""
     sums, exact = _window_sums(seq, L)
     for k0, window in enumerate(sums):

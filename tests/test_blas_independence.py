@@ -27,33 +27,69 @@ def _ring_weights():
     return w
 
 
-def _check_scenario():
-    """Balanced period-3 sequence: ring edge t is active at step t mod 3."""
-    ring = _ring_weights()
-    mats = [np.eye(N) for _ in range(3)]
+def _cycle_weights():
+    """The directed cycles 0 -> 1 -> ... -> N-1 -> 0 and 0 -> 3 -> 6 -> 0,
+    each arc with a weight of its own: cut-balanced, with C above 1."""
+    w = np.zeros((N, N))
     for t in range(N):
-        a, b = t, (t + 1) % N
+        w[(t + 1) % N, t] = 0.03 + 0.011 * t
+    for t, (a, b) in enumerate([(0, 3), (3, 6), (6, 0)]):
+        w[b, a] += 0.05 + 0.013 * t
+    return w
+
+
+def _sequence_params(weights, pairs):
+    """Period-3 sequence: the t-th pair (a, b) is active at step t mod 3,
+    with the weights of both its arcs a -> b and b -> a."""
+    mats = [np.eye(N) for _ in range(3)]
+    for t, (a, b) in enumerate(pairs):
         W = mats[t % 3]
-        W[a, b] += ring[a, b]
-        W[b, a] += ring[a, b]
-        W[a, a] -= ring[a, b]
-        W[b, b] -= ring[a, b]
-    params = {
+        W[a, b] += weights[a, b]
+        W[b, a] += weights[b, a]
+        W[a, a] -= weights[a, b]
+        W[b, b] -= weights[b, a]
+    return {
         "sequence": {"kind": "explicit", "matrices": [m.tolist() for m in mats], "period": 3},
         "M": 1,
         "T": 0,
         "L": 2,
     }
-    return "check", "check_sequence", params
+
+
+CHECK_C = ("uniform_cut_balance", "C")
+ANALYZE_C = ("cut_balance", "constant_C")
+
+
+def _check_scenario():
+    """Balanced period-3 sequence: ring edge t is active at step t mod 3."""
+    params = _sequence_params(_ring_weights(), [(t, (t + 1) % N) for t in range(N)])
+    return "check", "check_sequence", params, CHECK_C, 1.0
+
+
+def _check_cycles_scenario():
+    """Period-3 sequence: cycle arc t is active at step t mod 3."""
+    pairs = [(t, (t + 1) % N) for t in range(N)] + [(0, 3), (3, 6), (6, 0)]
+    params = _sequence_params(_cycle_weights(), pairs)
+    return "check", "check_sequence", params, CHECK_C, None
 
 
 def _analyze_scenario():
-    return "analyze", "analyze_graph", {"graph": {"n": N, "weights": _ring_weights().tolist()}}
+    params = {"graph": {"n": N, "weights": _ring_weights().tolist()}}
+    return "analyze", "analyze_graph", params, ANALYZE_C, 1.0
 
 
-@pytest.mark.parametrize("make", [_check_scenario, _analyze_scenario])
+def _analyze_cycles_scenario():
+    params = {"graph": {"n": N, "weights": _cycle_weights().tolist()}}
+    return "analyze", "analyze_graph", params, ANALYZE_C, None
+
+
+@pytest.mark.parametrize(
+    "make", [_check_scenario, _analyze_scenario, _check_cycles_scenario, _analyze_cycles_scenario]
+)
 def test_verdict_bytes_identical_under_forced_blas_core_types(make, tmp_path):
-    command, kind, params = make()
+    """The verdict's constant at ``where`` must be ``exact_C``, or above 1
+    when that is None, and its bits the same under every kernel."""
+    command, kind, params, where, exact_C = make()
     name = f"blas-{kind}"
     scenario = {"schema_version": SCHEMA_VERSION, "name": name, "kind": kind, "seed": 0,
                 "parameters": params}
@@ -61,6 +97,8 @@ def test_verdict_bytes_identical_under_forced_blas_core_types(make, tmp_path):
     path.write_text(json.dumps(scenario))
     assert run_scenario(str(path), out_dir=tmp_path / "here") == 0
     here = (tmp_path / "here" / f"{name}.verdict.json").read_bytes()
+    C = json.loads(here)[where[0]][where[1]]
+    assert C == exact_C if exact_C is not None else C > 1.0
 
     for core in ("Haswell", "Sandybridge"):
         out = tmp_path / core

@@ -6,6 +6,7 @@ input the same exception type."""
 
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -87,18 +88,11 @@ def _reference_run_delayed_rai(seq, delays, history, policy, steps):
     hist = [np.asarray(h, dtype=float) for h in history]
     y = np.concatenate(hist[::-1])
     emit = _reference_emitter(policy, n)
-    stacked_cache = {}
     states = [y[:n].copy()]
     residuals = []
     window_max = [float(y.max())]
     for k in range(steps):
-        W = seq.matrix(k)
-        table = delays.table(k)
-        key = (id(W), table.tobytes())
-        Xi = stacked_cache.get(key)
-        if Xi is None:
-            Xi = _stack(W, table, ds)
-            stacked_cache[key] = Xi
+        Xi = _stack(seq.matrix(k), delays.table(k), ds)
         y_next = Xi.entries @ y
         delta = emit(k)
         if np.any(delta < 0):
@@ -344,6 +338,26 @@ def test_run_delayed_rai_matches_per_step_loop(data):
     history = [rng.uniform(-5.0, 5.0, n) for _ in range(d_star + 1)]
     traj = run_delayed_rai(seq, delays, history, policy, steps)
     _assert_same(traj, _reference_run_delayed_rai(seq, delays, history, policy, steps))
+
+
+def test_delayed_reference_stacks_every_step():
+    # Every step's weights come in one reused object, so W(k) always has
+    # the id of W(k-1): the reference must still stack W(k) itself.
+    rng = np.random.default_rng(3)
+    raw = rng.random((40, 3, 3)) + 0.05
+    explicit = MatrixSequence.explicit(raw / raw.sum(axis=2, keepdims=True))
+    W = SimpleNamespace(n=3, entries=None)
+
+    def matrix(k):
+        W.entries = explicit.matrix(k).entries
+        return W
+
+    spec = DelaySpec.constant([[0, 1, 0], [0, 0, 1], [1, 0, 0]], d_star=1)
+    hist = [np.array([1.0, 0.0, 0.5]), np.array([0.0, 1.0, 0.25])]
+    seq = SimpleNamespace(n=3, matrix=matrix)
+    ref = _reference_run_delayed_rai(seq, spec, hist, DisturbancePolicy.zero(), 40)
+    want = run_delayed_rai(explicit, spec, hist, DisturbancePolicy.zero(), 40)
+    _assert_same(want, ref)
 
 
 @st.composite

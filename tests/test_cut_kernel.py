@@ -2,9 +2,11 @@
 check built on it, and the closure-based reciprocity check, against the
 per-cut loops they replaced (kept here as reference oracles)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from raikit import (
@@ -19,7 +21,7 @@ from raikit import (
     cut_flow,
 )
 import raikit.graphs
-from raikit.graphs import CUT_BLOCK_ROWS, block_flows, cut_blocks
+from raikit.graphs import CUT_BLOCK_ROWS, _cut_constant, block_flows, cut_blocks
 from raikit.sequences import _default_horizon, _window_sums
 from raikit.tolerances import CUT_ENUMERATION_LIMIT
 
@@ -243,6 +245,88 @@ def test_block_flows_match_cut_flow():
     )
     want = np.array([cut_flow(g, c) for c in cuts])
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+def _enumerated_constant(w):
+    """``_cut_constant`` without its symmetric shortcut: every cut that keeps
+    node n-1 on the right, block by block, through the einsum."""
+    n = len(w)
+    wt = np.ascontiguousarray(w.T)
+    constant, half = 1.0, 1 << (n - 1)
+    for first, X in cut_blocks(n):
+        if first >= half:
+            break
+        X = X[: half - first]
+        f_ij, f_ji = block_flows(X, w), block_flows(X, wt)
+        both = f_ji > 0
+        if both.any():
+            f_ij, f_ji = f_ij[both], f_ji[both]
+            constant = max(constant, float((f_ij / f_ji).max()), float((f_ji / f_ij).max()))
+    return constant
+
+
+@st.composite
+def _cycle_unions(draw):
+    """Cut-balanced weights from 1e-6 to 1e6: a union of directed cycles
+    (one of length 1 is a self-loop) with a weight of its own on every arc.
+    Nodes on no cycle are isolated and have zero rows."""
+    n = draw(st.integers(1, 9))
+    w = np.zeros((n, n))
+    for _ in range(draw(st.integers(0, 3))):
+        cycle = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            w[b, a] += draw(st.floats(1e-6, 1e6))
+    return w
+
+
+def _counting_cut_blocks(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return cut_blocks(n)
+
+    monkeypatch.setattr(raikit.graphs, "cut_blocks", counted)
+    return calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cycle_unions())
+@example(np.zeros((1, 1)))
+@example(np.array([[0.0, 1e-6], [1e6, 0.0]]))
+@example(np.array([[0.0, 1e-6, 0.0], [1e6, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+def test_symmetric_shortcut_gives_the_enumerated_bits(w):
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_cut_blocks(mp)
+        symmetric = w + w.T
+        assert _cut_constant(symmetric) == 1.0 == _enumerated_constant(symmetric)
+        assert calls == []
+        got = _cut_constant(w)
+        assert got == _enumerated_constant(w)  # bit for bit
+        assert len(calls) == (0 if (w == w.T).all() else 1)
+    assert got == pytest.approx(_reference_constant(WeightedDigraph(n=len(w), weights=w)), rel=1e-12)
+
+
+def _certificate_peak(w):
+    tracemalloc.start()
+    try:
+        cert = cut_balance_certificate(WeightedDigraph(n=len(w), weights=w))
+        return cert, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cut_constant_memory_is_bounded_at_the_enumeration_limit():
+    n = CUT_ENUMERATION_LIMIT
+    w = np.zeros((n, n))
+    for v in range(n):
+        w[(v + 1) % n, v] = 0.1 + 0.01 * v  # the directed ring v -> v + 1
+    cert, peak = _certificate_peak(w)
+    assert cert.balanced and cert.constant_C == pytest.approx(0.29 / 0.1, rel=1e-12)
+    # One block of einsum operands; one float per cut would take 4 MiB.
+    assert peak < 2**20
+    cert, peak = _certificate_peak(w + w.T)
+    assert cert.constant_C == 1.0 and peak < 2**16  # no cut enumerated
 
 
 # ---------------------------------------------------------------------------
