@@ -16,13 +16,17 @@ that may end early; ``_check_x0`` checks every initial and history vector.
 run_rai fetches its weights once per run (one period of a periodic
 sequence).  Every matrix-vector product goes through ``_matvec``: np.dot,
 but np.matmul for a 1 x 1 matrix, where np.dot keeps the x = -0.0 that
-``@`` turns into +0.0.
+``@`` turns into +0.0.  A silent step, whose W(k) is exactly the identity,
+needs no product: the identity product is x + 0.0 bitwise, so run_rai has
+``_iterate`` advance each maximal stretch of silent steps with one
+sequential subtraction of its disturbances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -268,7 +272,7 @@ def _matvec(rows: int):
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite state raises below
 def _iterate(
-    x: np.ndarray, steps: int, residuals: np.ndarray, step, window_max=None
+    x: np.ndarray, steps: int, residuals: np.ndarray, step, window_max=None, silent=()
 ) -> tuple[Trajectory, int | None]:
     """The one step loop: ``step(k, x(k), r(k), out)`` writes x(k+1) into
     ``out``, reading or filling the residual row r(k), and a true return
@@ -277,17 +281,44 @@ def _iterate(
     and are cut to its length as copies when it ends early.  Returns the
     run and the step that ended it, or None.  A non-finite state has no
     verdict and raises ValueError naming its first step; the row max and
-    min propagate NaN and infinity, so those two vectors cover every entry."""
+    min propagate NaN and infinity, so those two vectors cover every entry.
+
+    ``silent`` yields, in order, the maximal stretches (k, span) of steps
+    k .. k+span-1 whose W is the identity; ``residuals`` must then hold
+    every row, as run_rai's do.  A stretch skips ``step``: x(k+1) =
+    (x(k) + 0.0) - r(k), and one in-place subtract.accumulate over the
+    stretch's residual rows gives the rest.  These are the product's bits:
+    the identity product turns -0.0 into +0.0 and moves nothing else, no
+    later state of the stretch is -0.0 (a difference is -0.0 only when its
+    first operand is), and accumulate subtracts in the loop's order.  One
+    mark covers the next growth and the next stretch, so every other step
+    costs what it did."""
     n, rows = x.shape[0], residuals.shape[0]
     states = np.empty((rows + 1, n))
     states[0] = x
     stop = None
-    for k in range(steps):
-        if k == rows:
-            more = np.empty((min(k, steps - k), n))
-            residuals = np.concatenate([residuals, more])
-            states = np.concatenate([states, more])
-            rows += more.shape[0]
+    silent = iter(silent)
+    at, span = next(silent, (steps, 0))
+    mark = min(rows, at)
+    ks = iter(range(steps))
+    for k in ks:
+        if k == mark:
+            if k == rows:
+                more = np.empty((min(k, steps - k), n))
+                residuals = np.concatenate([residuals, more])
+                states = np.concatenate([states, more])
+                rows += more.shape[0]
+            if k == at:
+                block = states[k + 1 : k + span + 1]
+                np.add(states[k], 0.0, out=block[0])
+                np.subtract(block[0], residuals[k], out=block[0])
+                block[1:] = residuals[k + 1 : k + span]
+                np.subtract.accumulate(block, axis=0, out=block)
+                next(islice(ks, span - 1, span - 1), None)  # steps k+1 .. k+span-1 are done
+                at, span = next(silent, (steps, 0))
+                mark = min(rows, at)
+                continue
+            mark = min(rows, at)
         if step(k, states[k], residuals[k], states[k + 1]):
             stop = k
             if k + 1 < rows:
@@ -302,6 +333,30 @@ def _iterate(
     return traj, stop
 
 
+def _silent_stretches(silent: list, steps: int) -> Iterator[tuple[int, int]]:
+    """Each maximal stretch of silent steps k .. k+span-1 of a run of
+    ``steps`` steps, as (k, span) in order, where step k is silent when
+    silent[k % p] and p = len(silent) <= steps.  A stretch may wrap past
+    the end of a period, and it covers the whole run when every step is
+    silent."""
+    if not any(silent):
+        return
+    if all(silent):
+        yield 0, steps
+        return
+    p = len(silent)
+    loud = [i for i in range(p) if not silent[i]]
+    if silent[0]:
+        yield 0, loud[0]
+    ends = loud[1:] + [loud[0] + p]  # the loud phase after each loud phase
+    starts = [(i + 1, e) for i, e in zip(loud, ends) if e > i + 1]
+    for base in range(0, steps, p):
+        for a, e in starts:
+            if base + a >= steps:
+                return
+            yield base + a, min(base + e, steps) - base - a
+
+
 def run_rai(
     seq: MatrixSequence, x0, policy: DisturbancePolicy, steps: int
 ) -> Trajectory:
@@ -310,20 +365,26 @@ def run_rai(
     The stored residuals are the drawn disturbances; with the zero policy
     the result is bitwise identical to run_degroot.  The weights are read
     through ``seq.matrix`` before the first step, one period of them for a
-    periodic sequence, so a finite list too short for the run raises then."""
+    periodic sequence, so a finite list too short for the run raises then.
+    A step whose W(k) equals the identity exactly is silent: ``_iterate``
+    advances each stretch of them without a product, with the same bits."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     x = _check_x0(x0, seq.n)
     residuals = policy.draw(seq.n, steps)
     period = seq.period or steps
     weights = [seq.matrix(k).entries for k in range(min(period, steps))]
+    # Bytes equal to the identity's are an exact test, a twentieth of the
+    # cost of (W == I).all(); validated weights hold no -0.0 it would miss.
+    eye = np.eye(seq.n).tobytes()
+    silent = [W[0, 0] == 1.0 and W.tobytes() == eye for W in weights]
     matvec = _matvec(seq.n)
 
     def step(k, x, delta, out):
         matvec(weights[k % period], x, out=out)
         np.subtract(out, delta, out=out)
 
-    return _iterate(x, steps, residuals, step)[0]
+    return _iterate(x, steps, residuals, step, silent=_silent_stretches(silent, steps))[0]
 
 
 def run_degroot(seq: MatrixSequence, x0, steps: int) -> Trajectory:

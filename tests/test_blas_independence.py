@@ -153,3 +153,23 @@ def test_matvec_helper_gives_the_bits_of_matmul_under_forced_blas_core_types(cor
     proc = subprocess.run([sys.executable, "-c", _MATVEC_CHECK], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [str(70 * 2 * 5)]
+
+
+# The same vectors against the identity, whose product run_rai skips on a
+# silent step: it must be x + 0.0 bitwise, under every kernel.
+_IDENTITY_CHECK = _MATVEC_CHECK.replace(
+    "            want = (W @ x).tobytes()\n",
+    "            W = np.eye(n)\n            want = (x + 0.0).tobytes()\n",
+)
+
+
+@pytest.mark.parametrize("core", [None, "Haswell", "Sandybridge"])
+def test_identity_product_is_x_plus_zero_under_forced_blas_core_types(core):
+    assert _IDENTITY_CHECK != _MATVEC_CHECK
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_CORETYPE", None)
+    if core is not None:
+        env["OPENBLAS_CORETYPE"] = core
+    proc = subprocess.run([sys.executable, "-c", _IDENTITY_CHECK], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(70 * 2 * 5)]

@@ -30,7 +30,7 @@ from raikit import (
     run_hk,
     run_rai,
 )
-from raikit.engine import _CSV_BLOCK_ROWS, _iterate, _stack
+from raikit.engine import _CSV_BLOCK_ROWS, _iterate, _silent_stretches, _stack
 from raikit.opinions import _cluster
 from raikit.tolerances import ENTRY_FLUSH, FEAS_TOL, ROW_SUM_TOL
 
@@ -358,6 +358,185 @@ def test_delayed_reference_stacks_every_step():
     ref = _reference_run_delayed_rai(seq, spec, hist, DisturbancePolicy.zero(), 40)
     want = run_delayed_rai(explicit, spec, hist, DisturbancePolicy.zero(), 40)
     _assert_same(want, ref)
+
+
+# ---------------------------------------------------------------------------
+# Silent stretches: run_rai advances each stretch of identity steps without
+# a product, and must keep the bits of the per-step loop.
+
+
+def _near_identity(rng, n):
+    """The identity with one off-diagonal weight just above ENTRY_FLUSH,
+    which validation keeps: a product step, not a silent one."""
+    W = np.eye(n)
+    i, j = rng.choice(n, 2, replace=False)
+    W[i, j] = 1.5 * ENTRY_FLUSH
+    W[i, i] -= W[i, j]
+    return W
+
+
+@st.composite
+def _silent_sequences(draw, max_n=6, max_steps=300):
+    """Mostly identity steps, with x0 holding signed zeros.  A periodic
+    sequence often starts and ends its period silent, so that a stretch
+    wraps; gossip is generator-backed with period 0."""
+    n = draw(st.integers(1, max_n))
+    steps = draw(st.integers(0, max_steps))
+    storage = draw(st.sampled_from(["periodic", "finite", "generator", "gossip"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    silence = draw(st.floats(0.5, 0.98))
+    x0 = rng.uniform(-5.0, 5.0, n)
+    zeros = rng.random(n) < 0.3
+    x0[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+    if storage == "gossip" and n > 1:
+        fires = np.flatnonzero(rng.random(steps + 2) > silence).tolist()
+        heads = rng.integers(0, n, len(fires))
+        arcs = [(int((i + rng.integers(1, n)) % n), int(i)) for i in heads]
+        return gossip_sequence(n, arcs, rng.uniform(0.05, 0.95, len(fires)), fires), steps, x0
+    kind = draw(st.sampled_from(["dense", "sparse", "skewed", "hk"]))
+    period = draw(st.integers(1, 8))
+    count = max(steps, 1) if storage == "finite" else period
+
+    def loud():
+        return _near_identity(rng, n) if n > 1 and rng.random() < 0.3 else _stochastic(rng, n, kind)
+
+    mats = [np.eye(n) if rng.random() < silence else loud() for _ in range(count)]
+    if storage == "finite":
+        seq = MatrixSequence.explicit(mats)
+    elif storage == "generator":
+        seq = MatrixSequence.from_generator(lambda k: mats[k % period], n)
+    else:
+        seq = MatrixSequence.explicit(mats, period=period)
+    return seq, steps, x0
+
+
+@st.composite
+def _signed_zero_replays(draw, n):
+    """Replay tables of +0.0, -0.0 and positive entries, some rows all zero."""
+    entry = st.sampled_from([0.0, -0.0, 5e-324, 0.5, 3.0])
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=4))
+    rows.insert(draw(st.integers(0, len(rows))), [draw(st.sampled_from([0.0, -0.0]))] * n)
+    return DisturbancePolicy.adversarial_replay(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_run_rai_over_silent_stretches_matches_per_step_loop(data):
+    seq, steps, x0 = data.draw(_silent_sequences())
+    policy = data.draw(st.one_of(_policies(seq.n), _signed_zero_replays(seq.n)))
+    _assert_same(run_rai(seq, x0, policy, steps), _reference_run_rai(seq, x0, policy, steps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(silent=st.lists(st.booleans(), min_size=1, max_size=10), extra=st.integers(0, 50))
+def test_silent_stretches_are_the_maximal_runs_of_silent_steps(silent, extra):
+    steps = len(silent) + extra
+    want, k = [], 0
+    while k < steps:
+        if silent[k % len(silent)]:
+            start = k
+            while k < steps and silent[k % len(silent)]:
+                k += 1
+            want.append((start, k - start))
+        k += 1
+    assert list(_silent_stretches(silent, steps)) == want
+
+
+@pytest.mark.parametrize("kind", ["zero", "replay", "vanishing"])
+@pytest.mark.parametrize("steps", [0, 1, 2, 3, 9])
+@pytest.mark.parametrize("n", [1, 3])
+def test_constant_identity_run_is_one_stretch_with_the_loop_bits(n, steps, kind):
+    replay = [[-0.0, 0.0, -0.0], [0.0, 0.0, 0.0], [0.5, -0.0, 5e-324]]
+    policy = {
+        "zero": DisturbancePolicy.zero(),
+        "replay": DisturbancePolicy.adversarial_replay([row[:n] for row in replay]),
+        "vanishing": DisturbancePolicy.vanishing_random(1.0, 0.5, seed=5),
+    }[kind]
+    seq = MatrixSequence.constant(np.eye(n))
+    x0 = [-0.0, 0.0, 2.5][:n]
+    _assert_same(run_rai(seq, x0, policy, steps), _reference_run_rai(seq, x0, policy, steps))
+
+
+@pytest.mark.parametrize("steps", range(13))  # ends inside, after and across stretches
+def test_stretch_across_the_period_boundary_has_the_loop_bits(steps):
+    # phases 2, 3 and 0 are silent: from step 2 on, each stretch wraps
+    A = [[0.25, 0.75], [0.5, 0.5]]
+    seq = MatrixSequence.explicit([np.eye(2), A, np.eye(2), np.eye(2)], period=4)
+    policy = DisturbancePolicy.adversarial_replay([[0.0, -0.0], [1.0, 0.0], [-0.0, 0.0]])
+    x0 = [-0.0, 1.5]
+    _assert_same(run_rai(seq, x0, policy, steps), _reference_run_rai(seq, x0, policy, steps))
+
+
+def test_near_identity_step_takes_the_product():
+    seq = MatrixSequence.constant(_near_identity(np.random.default_rng(0), 3))
+    assert not np.array_equal(seq.matrix(0).entries, np.eye(3))
+    x0 = [1.0, -3.0, 7.0]
+    policy = DisturbancePolicy.adversarial_replay([[0.0, 0.5, 0.0]])
+    traj = run_rai(seq, x0, policy, 5)
+    _assert_same(traj, _reference_run_rai(seq, x0, policy, 5))
+    silent = np.subtract.accumulate([x0, *[[0.0, 0.5, 0.0]] * 5])
+    assert traj.states.tobytes() != silent.tobytes()
+
+
+@pytest.mark.parametrize(
+    "seq, x0, replay, step",
+    [
+        # the whole run is one stretch
+        (MatrixSequence.constant(np.eye(2)), [-1e308, 1.0], [[4e307, 0.0]], 2),
+        # state 10 inside the stretch of steps 4 .. 14
+        (gossip_sequence(3, [(1, 2), (2, 1)], 0.5, [3, 15], period=20),
+         [-1.7e308, 0.0, 1.0], [[1e306, 0.0, 0.0]], 10),
+        # state 10 from the product step 9, a stretch after it
+        (gossip_sequence(3, [(1, 2)], 0.5, [9], period=20),
+         [-1.7e308, 0.0, 1.0], [[1e306, 0.0, 0.0]], 10),
+    ],
+    ids=["constant", "inside", "before"],
+)
+def test_overflow_in_or_before_a_stretch_names_the_loop_step(seq, x0, replay, step):
+    policy = DisturbancePolicy.adversarial_replay(replay)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S, _, _ = _reference_run_rai(seq, x0, policy, 30)
+    assert int(np.argmin(np.isfinite(S).all(axis=1))) == step
+    with pytest.raises(ValueError, match=f"^state became non-finite at step {step}$"):
+        run_rai(seq, x0, policy, 30)
+
+
+def test_zero_policy_gossip_from_signed_zeros_has_the_loop_bits():
+    seq = gossip_sequence(2, [(0, 1), (1, 0)], 0.5, [3, 4])
+    policy = DisturbancePolicy.zero()
+    _assert_same(run_rai(seq, [-0.0, -0.0], policy, 12), _reference_run_rai(seq, [-0.0, -0.0], policy, 12))
+
+
+def test_loop_calls_step_only_outside_the_silent_stretches():
+    calls = []
+
+    def step(k, x, r, out):
+        calls.append(k)
+        np.subtract(x + 0.0, r, out=out)
+
+    residuals = np.arange(20.0).reshape(10, 2) / 4
+    traj, stop = _iterate(np.array([-0.0, 1.0]), 10, residuals, step, silent=[(0, 3), (5, 4)])
+    assert calls == [3, 4, 9] and stop is None
+    want = [np.array([-0.0, 1.0])]
+    for r in residuals:
+        want.append((want[-1] + 0.0) - r)
+    assert traj.states.tobytes() == np.array(want).tobytes()
+
+
+def test_long_silent_run_is_advanced_in_place():
+    # The run's own arrays take 16.79 MiB and it peaks at 16.98 MiB.  A copy
+    # of the stretch, 6.1 MiB made while the states and residuals are
+    # held, would peak at 18.31 MiB.
+    seq = MatrixSequence.constant(np.eye(4))
+    tracemalloc.start()
+    try:
+        traj = run_rai(seq, [1.0, -0.0, 0.5, 2.0], DisturbancePolicy.zero(), 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = sum(a.nbytes for a in (traj.states, traj.residuals, traj.M, traj.m, traj.d))
+    assert traj.steps == 200_000 and own > 16 * 2**20
+    assert peak < min(own + 2**20, 20 * 2**20), f"the run peaked at {peak / 2**20:.2f} MiB"
 
 
 @st.composite
