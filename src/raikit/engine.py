@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
+from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -242,8 +242,9 @@ class DisturbancePolicy:
             return table[np.arange(steps) % len(table)]
         block = np.random.default_rng(self.seed).random((steps, n))
         if self.kind == "vanishing_random":
-            scale, decay = self.scale, self.decay
-            block *= np.array([scale * decay**k for k in range(steps)])[:, None]
+            # pow(decay, k) is decay**k, and the products by scale are one array pass.
+            powers = np.fromiter(map(pow, repeat(self.decay), range(steps)), float, steps)
+            block *= (powers * self.scale)[:, None]
         else:
             block *= self.scale
         return block

@@ -9,12 +9,18 @@ in particular distributed linear equations with one row per agent.
 The convergence mechanism is the averaging inequality: for any common
 fixed point, the vector of distances to it is a feasible trajectory of
 x(k+1) <= W(k) x(k), so the network results apply verbatim.
+
+A round is a few whole-array passes.  Each projector kind has one closed
+form on the rows of an array, and a problem stacks the parameters of the
+agents that share a form, so one call projects them all.  Its row dots are
+one batched matmul whose rows each make the BLAS ddot call of a 1-D
+``a @ x``, so a stacked round has the bits of the row-by-row one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -61,80 +67,134 @@ class Paracontraction:
         return _norm(self.apply(xi) - xi) < FP_TOL
 
 
+def _rowdots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """a_i . b_i for each row pair of two (m, d) arrays: each row is one
+    BLAS ddot, the call of a 1-D ``a @ b`` or ``a.dot(b)``, so each has
+    their bits."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+
+
+def _matvecs(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A_i @ x_i for an (m, p, d) stack of matrices and the rows of an
+    (m, d) array: each is the BLAS call, and so the bits, of a 2-D ``A @ x``."""
+    return np.matmul(A, X[:, :, None])[:, :, 0]
+
+
+def _vector(name: str, v) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D vector, got shape {v.shape}")
+    return v
+
+
+# The closed forms (a box's is np.clip), each on the rows of an (m, d) array
+# with its parameters stacked row by row.  A row that a halfspace or a ball
+# leaves in place is copied, and none of its projection is computed: that
+# could warn.
+
+
+def _hyperplane(X, A, b, nrm2):
+    return X - ((_rowdots(A, X) - b) / nrm2)[:, None] * A
+
+
+def _halfspace(X, A, b, nrm2):
+    slack = _rowdots(A, X) - b
+    out, moved = X.copy(), ~(slack <= 0)  # a NaN slack moves, as in the scalar rule
+    out[moved] -= (slack[moved] / nrm2[moved])[:, None] * A[moved]
+    return out
+
+
+def _ball(X, C, r):
+    off = X - C
+    dist = np.sqrt(_rowdots(off, off))
+    out, moved = X.copy(), ~(dist <= r)
+    out[moved] = C[moved] + (r[moved] / dist[moved])[:, None] * off[moved]
+    return out
+
+
+def _affine_subspace(X, A, pinv, b):
+    return X - _matvecs(pinv, _matvecs(A, X) - b)
+
+
+@dataclass(frozen=True)
 class ConvexProjector(Paracontraction):
     """Euclidean metric projection onto a closed convex set, in closed form.
 
     hyperplane(a, b) for a.x = b; halfspace(a, b) for a.x <= b; ball(center,
-    r); box(lo, hi); affine_subspace(A, b) for A x = b.  ``apply`` closes over
-    precomputed parameters, so projectors compare by identity.  Degenerate
-    specs (zero normal, negative radius, crossed bounds, inconsistent
-    equations) and NaN or infinite parameters are rejected, except on an open
-    side: halfspace b = inf, box lo = -inf or hi = inf, ball r = inf.
+    r); box(lo, hi); affine_subspace(A, b) for A x = b.  Each records its
+    kind's ``form(X, *params)``, which projects every row of an (m, d) array
+    with ``params`` stacked row by row (one row here); ``apply`` is that form
+    on one point.  ``apply`` closes over the parameters, so projectors compare
+    by identity.  Vectors must be 1-D and A 2-D.  Degenerate specs (zero
+    normal, negative radius, crossed bounds, inconsistent equations) and NaN
+    or infinite parameters are rejected, except on an open side: halfspace
+    b = inf, box lo = -inf or hi = inf, ball r = inf.
     """
 
+    form: Callable = field(compare=False, repr=False)
+    params: tuple = field(compare=False, repr=False)
+
     @classmethod
-    def _closed_form(cls, dimension: int, form: Callable[[np.ndarray], np.ndarray]) -> "ConvexProjector":
+    def _closed_form(cls, dimension: int, form: Callable, *params) -> "ConvexProjector":
+        params = tuple(np.array(p, dtype=float)[None] for p in params)  # copies, detached from the inputs
+
         def apply(xi) -> np.ndarray:
             xi = np.asarray(xi, dtype=float)
             if xi.shape != (dimension,):
                 raise ValueError(f"point must have dimension {dimension}")
-            return form(xi)
+            return form(xi[None], *params)[0]
 
-        return cls(dimension=dimension, apply=apply)
+        return cls(dimension=dimension, apply=apply, form=form, params=params)
 
     @classmethod
     def hyperplane(cls, a, b: float) -> "ConvexProjector":
-        a = np.asarray(a, dtype=float)
+        a = _vector("hyperplane a", a)
         nrm2 = float(a @ a)
         if not nrm2 > 0:
             raise ValueError("hyperplane normal must be nonzero")
         b = float(b)
         if not (np.all(np.isfinite(a)) and np.isfinite(b)):
             raise ValueError("hyperplane normal and offset must be finite")
-        return cls._closed_form(a.shape[0], lambda xi: xi - ((a @ xi - b) / nrm2) * a)
+        return cls._closed_form(a.shape[0], _hyperplane, a, b, nrm2)
 
     @classmethod
     def halfspace(cls, a, b: float) -> "ConvexProjector":
-        a = np.asarray(a, dtype=float)
+        a = _vector("halfspace a", a)
         nrm2 = float(a @ a)
         if not nrm2 > 0:
             raise ValueError("halfspace normal must be nonzero")
         b = float(b)
         if not (np.all(np.isfinite(a)) and b > -np.inf):  # b = inf is the whole space
             raise ValueError("halfspace normal must be finite and offset > -inf")
-        return cls._closed_form(a.shape[0], lambda xi: xi if (s := a @ xi - b) <= 0 else xi - (s / nrm2) * a)
+        return cls._closed_form(a.shape[0], _halfspace, a, b, nrm2)
 
     @classmethod
     def ball(cls, center, r: float) -> "ConvexProjector":
-        c = np.asarray(center, dtype=float)
+        c = _vector("ball center", center)
         if not r >= 0:  # also NaN
             raise ValueError("ball radius must be >= 0")
         r = float(r)
         if not np.all(np.isfinite(c)):
             raise ValueError("ball center must be finite")
-
-        def form(xi):
-            off = xi - c
-            dist = _norm(off)
-            return xi if dist <= r else c + (r / dist) * off
-
-        return cls._closed_form(c.shape[0], form)
+        return cls._closed_form(c.shape[0], _ball, c, r)
 
     @classmethod
     def box(cls, lo, hi) -> "ConvexProjector":
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
+        lo = _vector("box lo", lo)
+        hi = _vector("box hi", hi)
         if lo.shape != hi.shape or np.any(lo > hi):
             raise ValueError("box needs lo <= hi elementwise")
         if not (np.all(lo < np.inf) and np.all(hi > -np.inf)):  # also NaN
             raise ValueError("box needs lo < inf and hi > -inf")
-        return cls._closed_form(lo.shape[0], lambda xi: np.clip(xi, lo, hi))
+        return cls._closed_form(lo.shape[0], np.clip, lo, hi)
 
     @classmethod
     def affine_subspace(cls, A, b) -> "ConvexProjector":
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
-        if A.ndim != 2 or b.shape != (A.shape[0],):
+        if A.ndim != 2:
+            raise ValueError(f"affine subspace A must be a 2-D (m x d) matrix, got shape {A.shape}")
+        if b.shape != (A.shape[0],):
             raise ValueError("need A (m x d) and b (m,)")
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise ValueError("affine subspace A and b must be finite")
@@ -143,7 +203,7 @@ class ConvexProjector(Paracontraction):
         scale = max(1.0, float(np.abs(b).max(initial=0.0)))
         if float(np.abs(A @ least - b).max(initial=0.0)) > 1e-8 * scale:
             raise ValueError("equations are inconsistent; the subspace is empty")
-        return cls._closed_form(A.shape[1], lambda xi: xi - pinv @ (A @ xi - b))
+        return cls._closed_form(A.shape[1], _affine_subspace, A, pinv, b)
 
 
 def project(p, xi) -> np.ndarray:
@@ -153,7 +213,8 @@ def project(p, xi) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MultiAgentProblem:
-    """n agents, one map each, coupled through an averaging sequence."""
+    """n agents, one map each, coupled through an averaging sequence.  The
+    agents are grouped by closed form once, here, for solve and step."""
 
     maps: tuple
     W: MatrixSequence
@@ -178,6 +239,7 @@ class MultiAgentProblem:
         init.setflags(write=False)
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "initial", init)
+        object.__setattr__(self, "_groups", _grouped(maps))
 
     @property
     def n(self) -> int:
@@ -188,8 +250,37 @@ class MultiAgentProblem:
         return self.maps[0].dimension
 
 
-def _project_all(maps: tuple, points: np.ndarray) -> np.ndarray:
-    return np.array([m.apply(x) for m, x in zip(maps, points)], dtype=float)
+_ALL = slice(None)  # the rows of a group that holds every agent
+
+
+def _grouped(maps: tuple) -> tuple:
+    """The agents as (rows, f, params) groups, each projected at once as
+    ``f(states[rows], *params)``, in the order of their first agents.  The
+    projectors of one closed form and parameter shape form one group, with
+    their parameters stacked in agent order; each other map is a group of
+    its own, its row projected by its ``apply``."""
+    members: dict = {}
+    for i, m in enumerate(maps):
+        key = (m.form, *(p.shape for p in m.params)) if isinstance(m, ConvexProjector) else i
+        members.setdefault(key, []).append(i)
+    groups = []
+    for key, rows in members.items():
+        if isinstance(key, int):
+            groups.append((key, maps[key].apply, ()))
+        else:
+            params = tuple(map(np.concatenate, zip(*(maps[i].params for i in rows))))
+            groups.append((_ALL if len(rows) == len(maps) else rows, key[0], params))
+    return tuple(groups)
+
+
+def _project(groups: tuple, states: np.ndarray) -> np.ndarray:
+    rows, f, params = groups[0]
+    if rows is _ALL:  # one closed form for all agents
+        return f(states, *params)
+    out = np.empty_like(states)
+    for rows, f, params in groups:
+        out[rows] = f(states[rows], *params)
+    return out
 
 
 def _slots(n: int) -> np.ndarray:
@@ -210,7 +301,7 @@ def _step(problem: MultiAgentProblem, states: np.ndarray, k: int, projected: np.
             out += term
         return out
     mixed = Wk @ (states if problem.algorithm == "pre_project" else projected)
-    return _project_all(problem.maps, mixed)
+    return _project(problem._groups, mixed)
 
 
 def step(problem: MultiAgentProblem, states: np.ndarray, k: int) -> np.ndarray:
@@ -222,7 +313,7 @@ def step(problem: MultiAgentProblem, states: np.ndarray, k: int) -> np.ndarray:
     states = np.asarray(states, dtype=float)
     if states.shape != (n, d):
         raise ValueError(f"states must be {n}x{d}")
-    projected = None if problem.algorithm == "pre_project" else _project_all(problem.maps, states)
+    projected = None if problem.algorithm == "pre_project" else _project(problem._groups, states)
     return _step(problem, states, k, projected, _slots(n))
 
 
@@ -243,17 +334,21 @@ class SolveResult(Report):
         return "\n".join(lines) + "\n"
 
 
-def _residuals(problem: MultiAgentProblem, states: np.ndarray, pairs: tuple, k: int) -> tuple:
-    """Disagreement over the index ``pairs``, violation, and the projections.
-    A fresh difference has contiguous rows, so a squared norm is one dot as
-    in _norm, and the root of the largest square is the largest norm.  A
-    square is finite only if its row is, which checks the states too."""
-    projected = _project_all(problem.maps, states)
-    gaps = [r.dot(r) for r in projected - states]
-    spread = max([r.dot(r) for r in states[pairs[0]] - states[pairs[1]]], default=0.0)
-    if not (all(map(math.isfinite, gaps)) and math.isfinite(spread)):
+def _residuals(problem: MultiAgentProblem, states: np.ndarray, k: int) -> tuple:
+    """Disagreement, violation, and the projections.  The rows of one fresh
+    array are the n gaps P_i - x_i and all n^2 differences x_i - x_j (x_i -
+    x_j and x_j - x_i have one square), so each squared norm is one dot as
+    in _norm, and the root of the largest square is the largest norm.  The
+    maxima keep NaN and inf, and a square is finite only if its row is,
+    which checks the states too."""
+    (n, d), projected = states.shape, _project(problem._groups, states)
+    diffs = np.empty((n + n * n, d))
+    np.subtract(projected, states, out=diffs[:n])
+    np.subtract(states[:, None], states, out=diffs[n:].reshape(n, n, d))
+    gap, spread = np.maximum.reduceat(_rowdots(diffs, diffs), [0, n]).tolist()
+    if not (math.isfinite(gap) and math.isfinite(spread)):
         raise ValueError(f"solver state became non-finite at iteration {k}")
-    return math.sqrt(spread), math.sqrt(max(gaps)), projected
+    return math.sqrt(spread), math.sqrt(gap), projected
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite state raises in _residuals
@@ -274,11 +369,11 @@ def solve(
     if not tol > 0:
         raise ValueError("tol must be positive")
     states = problem.initial.copy()
-    pairs, slots = np.triu_indices(problem.n, 1), _slots(problem.n)
+    slots = _slots(problem.n)
     dg_hist: list[float] = []
     vi_hist: list[float] = []
     for it in range(max_iters + 1):
-        dg, vi, projected = _residuals(problem, states, pairs, it)
+        dg, vi, projected = _residuals(problem, states, it)
         dg_hist.append(dg)
         vi_hist.append(vi)
         if (dg < tol and vi < tol) or it == max_iters:

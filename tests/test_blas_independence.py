@@ -173,3 +173,68 @@ def test_identity_product_is_x_plus_zero_under_forced_blas_core_types(core):
     proc = subprocess.run([sys.executable, "-c", _IDENTITY_CHECK], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [str(70 * 2 * 5)]
+
+
+# The solver's batched products against their per-row forms: row dots
+# against ``a @ x`` and ``r.dot(r)``, stacked matrix-vector products against
+# ``A @ x`` and ``pinv @ r``, on contiguous and strided rows with d from 1 to
+# 1 000.  Prints the number of comparisons, then how many of three long row
+# dots differ from a sequential sum: BLAS accumulates in another order, so a
+# difference shows that the batched path reaches BLAS.
+_BATCHED_CHECK = """
+import numpy as np
+from raikit.solvers import _matvecs, _rowdots
+
+rng = np.random.default_rng(20)
+specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310])
+
+
+def rows(*shape, strided):
+    # Every third entry along the last axis, or a contiguous copy of them.
+    big = rng.standard_normal((*shape[:-1], 3 * shape[-1])) * 10.0 ** rng.integers(-6, 7, (*shape[:-1], 3 * shape[-1]))
+    pick = rng.random(big.shape) < 0.2
+    big[pick] = rng.choice(specials, int(pick.sum()))
+    return big[..., ::3] if strided else big[..., ::3].copy()
+
+
+count = 0
+for d in (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 32, 33, 64, 100, 127, 128, 255, 256, 500, 999, 1000):
+    for strided in (False, True):
+        A, X = rows(6, d, strided=strided), rows(6, d, strided=strided)
+        got = _rowdots(A, X)
+        assert got.tobytes() == np.array([a @ x for a, x in zip(A, X)]).tobytes(), (d, strided)
+        got = _rowdots(X, X)
+        assert got.tobytes() == np.array([r.dot(r) for r in X]).tobytes(), (d, strided)
+        count += 12
+        if d > 128:
+            continue
+        for m in (1, 2, 3):
+            M, P = rows(4, m, d, strided=strided), rows(4, d, m, strided=strided)
+            X, R = rows(4, d, strided=strided), rows(4, m, strided=strided)
+            assert _matvecs(M, X).tobytes() == np.array([Mi @ x for Mi, x in zip(M, X)]).tobytes(), (d, m, strided)
+            assert _matvecs(P, R).tobytes() == np.array([Pi @ r for Pi, r in zip(P, R)]).tobytes(), (d, m, strided)
+            count += 8
+print(count)
+
+differs = 0
+for _ in range(3):
+    a, x = rng.standard_normal(1000), rng.standard_normal(1000)
+    total = 0.0
+    for p in (a * x).tolist():
+        total += p
+    differs += _rowdots(a[None], x[None])[0] != total
+print(differs)
+"""
+
+
+@pytest.mark.parametrize("core", [None, "Haswell", "Sandybridge"])
+def test_batched_solver_products_give_the_bits_of_per_row_products_under_forced_blas_core_types(core):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_CORETYPE", None)
+    if core is not None:
+        env["OPENBLAS_CORETYPE"] = core
+    proc = subprocess.run([sys.executable, "-c", _BATCHED_CHECK], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    count, differs = proc.stdout.split()
+    assert count == str(22 * 2 * 12 + 17 * 2 * 3 * 8)
+    assert int(differs) > 0

@@ -317,6 +317,24 @@ def test_solver_scenario_writes_history(tmp_path):
     assert hist.splitlines()[0] == "iteration,disagreement,violation"
 
 
+def test_ball_center_of_the_wrong_rank_exit_two(tmp_path, capsys):
+    sc = {
+        "schema_version": SCHEMA_VERSION,
+        "name": "flat_ball",
+        "kind": "solve_fixedpoint",
+        "parameters": {
+            "W": {"kind": "constant", "matrix": [[1.0]]},
+            "algorithm": "pre_project",
+            "initial": [[3.0, 4.0]],
+            "sets": [{"kind": "ball", "center": [[0.0, 0.0]], "r": 1.0}],
+        },
+    }
+    ref = _write(tmp_path, sc)
+    assert main(["--out-dir", str(tmp_path), "solve", ref]) == 2
+    assert capsys.readouterr().err == "error: validation: ball center must be a 1-D vector, got shape (1, 2)\n"
+    assert not (tmp_path / "flat_ball.verdict.json").exists()
+
+
 def _overflow_scenario():
     """A cyclic weight matrix with a huge constant disturbance: the state
     passes -1.8e308 and becomes non-finite at step 351 (seed 0)."""

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raikit import (
     Cut,
@@ -75,6 +77,35 @@ def test_emitters_deterministic_per_seed():
     assert np.array_equal(t1.states, t2.states)
     other = run_rai(seq, x0, DisturbancePolicy.vanishing_random(0.3, 0.9, seed=12), 60)
     assert not np.array_equal(t1.states, other.states)
+
+
+def _oracle_vanishing_draw(scale, decay, seed, n, steps):
+    """The block of a vanishing_random draw, its decay factors built by the
+    Python comprehension they replaced, kept as the reference."""
+    block = np.random.default_rng(seed).random((steps, n))
+    block *= np.array([scale * decay**k for k in range(steps)])[:, None]
+    return block
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(0.0, 1e6) | st.sampled_from([0.0, 1e-3, 1.0, 5e-324]),
+    st.floats(1e-6, 1.0, exclude_max=True) | st.sampled_from([0.5, 0.9, 0.999, 1 - 2**-53]),
+    st.integers(0, 5000),
+    st.integers(1, 3),
+    st.booleans(),
+)
+def test_vanishing_draw_matches_the_scalar_decay_factors_bit_for_bit(scale, decay, steps, n, numpy_scalars):
+    if numpy_scalars:
+        scale, decay = np.float64(scale), np.float64(decay)
+    got = DisturbancePolicy.vanishing_random(scale, decay, seed=5).draw(n, steps)
+    assert got.tobytes() == _oracle_vanishing_draw(scale, decay, 5, n, steps).tobytes()
+
+
+def test_ensemble_vanishing_draw_matches_the_scalar_decay_factors_bit_for_bit():
+    for scale, decay in [(1e-3, 0.999), (np.float64(1e-3), np.float64(0.999))]:
+        got = DisturbancePolicy.vanishing_random(scale, decay, seed=3).draw(8, 20_000)
+        assert got.tobytes() == _oracle_vanishing_draw(scale, decay, 3, 8, 20_000).tobytes()
 
 
 def test_negative_disturbance_rejected_at_construction():

@@ -1,6 +1,6 @@
 """Projectors as closed-form paracontractions: bitwise agreement with the
-kind-dispatch projection they replaced, identity equality, and the rule for
-NaN and infinite parameters."""
+kind-dispatch projection they replaced, identity equality, and the rules for
+NaN and infinite parameters and for parameter ranks."""
 
 import math
 
@@ -141,3 +141,22 @@ def test_non_finite_initial_states_are_rejected(bad):
     W = MatrixSequence.constant(np.full((2, 2), 0.5))
     with pytest.raises(ValueError, match="initial states must be finite"):
         MultiAgentProblem(maps=(h, h), W=W, algorithm="pre_project", initial=[[0.0, bad], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "kind, args, message",
+    [
+        ("hyperplane", ([[1.0, 0.0]], 1.0), r"^hyperplane a must be a 1-D vector, got shape \(1, 2\)$"),
+        ("hyperplane", (2.0, 1.0), r"^hyperplane a must be a 1-D vector, got shape \(\)$"),
+        ("halfspace", ([[1.0], [0.0]], 1.0), r"^halfspace a must be a 1-D vector, got shape \(2, 1\)$"),
+        ("ball", ([[0.0, 0.0]], 1.0), r"^ball center must be a 1-D vector, got shape \(1, 2\)$"),
+        ("ball", (0.0, 1.0), r"^ball center must be a 1-D vector, got shape \(\)$"),
+        ("box", (0.0, 1.0), r"^box lo must be a 1-D vector, got shape \(\)$"),
+        ("box", ([0.0, 0.0], [[1.0, 1.0]]), r"^box hi must be a 1-D vector, got shape \(1, 2\)$"),
+        ("affine_subspace", ([1.0, 0.0], [1.0]), r"^affine subspace A must be a 2-D \(m x d\) matrix, got shape \(2,\)$"),
+        ("affine_subspace", ([[[1.0, 0.0]]], [1.0]), r"^affine subspace A must be a 2-D .* got shape \(1, 1, 2\)$"),
+    ],
+)
+def test_parameters_of_the_wrong_rank_are_rejected(kind, args, message):
+    with pytest.raises(ValueError, match=message):
+        getattr(ConvexProjector, kind)(*args)

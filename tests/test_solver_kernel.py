@@ -1,7 +1,10 @@
 """The solver round against the row-by-row reference it replaced: bit for
-bit agreement of steps, residuals and whole solves, the norm without the
-numpy wrapper, one projection per agent per round, and the breakdown rule."""
+bit agreement of steps, residuals and whole solves (also with all five
+kinds interleaved with generic maps), the norm without the numpy wrapper,
+one projection per agent per round, stacked forms instead of per-agent
+calls, rows left in place without warnings, and the breakdown rule."""
 
+import dataclasses
 import math
 import struct
 
@@ -151,8 +154,7 @@ def test_solver_round_matches_the_row_by_row_reference_bit_for_bit(problem, max_
         got = solve(problem, max_iters=max_iters, tol=tol)
         states = problem.initial
         stepped, want_stepped = step(problem, states, k), _oracle_step(problem, states, k)
-        pairs = np.triu_indices(problem.n, 1)
-        dg, vi, projected = _residuals(problem, states, pairs, k)
+        dg, vi, projected = _residuals(problem, states, k)
     want_projected = np.array([m.apply(x) for m, x in zip(problem.maps, states)])
     assert stepped.shape == want_stepped.shape and stepped.tobytes() == want_stepped.tobytes()
     assert (_bits(dg), _bits(vi)) == tuple(map(_bits, _oracle_residuals(problem, states)))
@@ -238,3 +240,115 @@ def test_a_nan_projection_after_the_first_agent_raises():
         problem = MultiAgentProblem(maps=(ident, broken), W=W, algorithm=algorithm, initial=[[0.0], [1.0]])
         with pytest.raises(ValueError, match=r"^solver state became non-finite at iteration 0$"):
             solve(problem, max_iters=50)
+
+
+# --- mixed problems: stacked groups beside generic maps ----------------------
+
+
+def _mixed_maps(calls=None):
+    """All five kinds, two affine shapes and two generic maps, interleaved.
+    A generic map appends its agent's index to ``calls`` when applied."""
+
+    def generic(i, p):
+        def apply(x):
+            if calls is not None:
+                calls.append(i)
+            return p.apply(x)
+
+        return Paracontraction(dimension=3, apply=apply)
+
+    return (
+        ConvexProjector.hyperplane([1.0, 2.0, -1.0], 1.0),
+        ConvexProjector.halfspace([0.0, 1.0, 1.0], 0.5),
+        generic(2, ConvexProjector.ball([0.5, 0.5, 0.0], 2.0)),
+        ConvexProjector.ball([0.0, -0.0, 0.0], 0.75),
+        ConvexProjector.box([-1.0, -2.0, -math.inf], [0.25, 1.0, 1.5]),
+        ConvexProjector.affine_subspace([[1.0, 1.0, 1.0]], [1.0]),
+        generic(6, ConvexProjector.hyperplane([1.0, -1.0, 0.0], 0.0)),
+        ConvexProjector.affine_subspace([[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]], [1.0, 0.0]),
+        ConvexProjector.hyperplane([0.0, 1.0, 3.0], 1.0),
+        ConvexProjector.halfspace([1.0, 0.0, 0.0], math.inf),
+        ConvexProjector.box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
+    )
+
+
+def _mixed_problem(algorithm, maps):
+    n = len(maps)
+    rng = np.random.default_rng(11)
+    mats = []
+    for _ in range(2):
+        raw = rng.random((n, n)) * (rng.random((n, n)) < 0.5) + np.eye(n)
+        mats.append(raw / raw.sum(axis=1, keepdims=True))
+    initial = rng.standard_normal((n, 3)) * 4.0
+    initial[3] = [-0.0, 0.0, -0.0]
+    return MultiAgentProblem(maps=maps, W=MatrixSequence.explicit(mats, period=2), algorithm=algorithm, initial=initial)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_mixed_problem_keeps_agent_order_and_the_row_by_row_bits(algorithm):
+    calls = []
+    problem = _mixed_problem(algorithm, _mixed_maps(calls))
+    got = solve(problem, max_iters=300, tol=1e-12)
+    passes = (got.iterations + 1) * (1 if algorithm == "convex_blend" else 2) - (algorithm != "convex_blend")
+    assert calls == [2, 6] * passes
+    reference = _mixed_problem(algorithm, _mixed_maps())
+    want_states, want_iters, want_dg, want_vi, finite = _oracle_solve(reference, 300, 1e-12)
+    assert finite and got.iterations == want_iters
+    assert list(map(_bits, got.disagreement_history)) == list(map(_bits, want_dg))
+    assert list(map(_bits, got.violation_history)) == list(map(_bits, want_vi))
+    assert got.solution.tobytes() == want_states.mean(axis=0).tobytes()
+    for k in (0, 1, 5):
+        assert step(problem, problem.initial, k).tobytes() == _oracle_step(problem, problem.initial, k).tobytes()
+
+
+def _refusing(p):
+    """``p`` with an ``apply`` that fails: its closed form must be used."""
+
+    def apply(x):
+        raise AssertionError("a projector was applied one agent at a time")
+
+    return dataclasses.replace(p, apply=apply)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_solve_projects_convex_projectors_by_their_stacked_forms(algorithm):
+    maps = _mixed_maps()
+    want = solve(_mixed_problem(algorithm, maps), max_iters=40, tol=1e-12)
+    refusing = tuple(_refusing(m) if isinstance(m, ConvexProjector) else m for m in maps)
+    problem = _mixed_problem(algorithm, refusing)
+    got = solve(problem, max_iters=40, tol=1e-12)
+    assert got.iterations == want.iterations
+    assert list(map(_bits, got.disagreement_history)) == list(map(_bits, want.disagreement_history))
+    assert list(map(_bits, got.violation_history)) == list(map(_bits, want.violation_history))
+    want_step = step(_mixed_problem(algorithm, maps), problem.initial, 3)
+    assert step(problem, problem.initial, 3).tobytes() == want_step.tobytes()
+
+
+# Points that a halfspace or ball leaves in place, where computing the
+# projection anyway would overflow, divide by zero or multiply inf by 0.
+_KEPT = [
+    (ConvexProjector.halfspace([1e-150, 0.0], 0.0), [-1e200, 5.0]),
+    (ConvexProjector.halfspace([1.0, 0.0], math.inf), [3.0, 5.0]),
+    (ConvexProjector.ball([1.0, 2.0], 0.0), [1.0, 2.0]),
+    (ConvexProjector.ball([1.0, 2.0], 1.0), [1.0, 2.0]),
+    (ConvexProjector.ball([0.0, 0.0], math.inf), [3.0, 0.0]),
+]
+
+
+@pytest.mark.parametrize("p, x", _KEPT)
+def test_a_point_left_in_place_raises_no_floating_point_error(p, x):
+    x = np.array(x)
+    with np.errstate(all="raise"):
+        got = p.apply(x)
+    assert got.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_round_whose_rows_stay_put_raises_no_warning(algorithm):
+    # Warnings are errors in this suite, and solve ignores only overflow and
+    # invalid: the ball of radius 1 around its point would divide by zero.
+    maps = tuple(p for p, _ in _KEPT[1:])
+    initial = np.array([x for _, x in _KEPT[1:]])
+    W = MatrixSequence.constant(np.eye(len(maps)))
+    got = solve(MultiAgentProblem(maps=maps, W=W, algorithm=algorithm, initial=initial), max_iters=3)
+    assert got.violation_history[0] == 0.0
