@@ -14,12 +14,11 @@ step loop ``_iterate``, which fills one (steps+1, n) state array,
 reserved up front for a fixed-length run and grown by doubling for a run
 that may end early; ``_check_x0`` checks every initial and history vector.
 run_rai fetches its weights once per run (one period of a periodic
-sequence).  Every matrix-vector product goes through ``_matvec``: np.dot,
-but np.matmul for a 1 x 1 matrix, where np.dot keeps the x = -0.0 that
-``@`` turns into +0.0.  A silent step, whose W(k) is exactly the identity,
-needs no product: the identity product is x + 0.0 bitwise, so run_rai has
-``_iterate`` advance each maximal stretch of silent steps with one
-sequential subtraction of its disturbances.
+sequence), and every product is one of raikit.products.  A silent step,
+whose W(k) is exactly the identity, needs no product: the identity
+product is x + 0.0 bitwise, so run_rai has ``_iterate`` advance each
+maximal stretch of silent steps with one sequential subtraction of its
+disturbances.
 """
 
 from __future__ import annotations
@@ -31,8 +30,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import Cut, Report
+from .graphs import ArrayFields, Cut, Report
 from .matrices import RowStochasticMatrix
+from .products import product
 from .sequences import IndexedSequence, MatrixSequence
 from .tolerances import (
     CONSENSUS_TOL,
@@ -69,8 +69,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class Trajectory(Report):
+@dataclass(frozen=True, eq=False)
+class Trajectory(Report, ArrayFields):
     """A finite run x(0..K) with its per-step disturbances and extremes.
 
     ``states`` is (K+1) x n, ``residuals`` is K x n (the disturbance applied
@@ -262,15 +262,6 @@ def _check_x0(x0, n: int | None, what: str = "initial vector") -> np.ndarray:
     return x
 
 
-def _matvec(rows: int):
-    """The product A @ x for matrices of ``rows`` rows, as f(A, x[, out]).
-    np.dot makes the same cblas_dgemv call as ``@`` without the cost of the
-    matmul dispatch, so its bits are those of ``@``, but it multiplies a
-    1 x 1 matrix as a scalar and keeps x = -0.0, where gemv, which adds to
-    +0.0, gives +0.0: a 1 x 1 matrix takes np.matmul."""
-    return np.dot if rows > 1 else np.matmul
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite state raises below
 def _iterate(
     x: np.ndarray, steps: int, residuals: np.ndarray, step, window_max=None, silent=()
@@ -379,7 +370,7 @@ def run_rai(
     # cost of (W == I).all(); validated weights hold no -0.0 it would miss.
     eye = np.eye(seq.n).tobytes()
     silent = [W[0, 0] == 1.0 and W.tobytes() == eye for W in weights]
-    matvec = _matvec(seq.n)
+    matvec = product(seq.n)
 
     def step(k, x, delta, out):
         matvec(weights[k % period], x, out=out)
@@ -411,8 +402,8 @@ def _validate_delays(d_star: int, t) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class DelaySpec:
+@dataclass(frozen=True, eq=False)
+class DelaySpec(ArrayFields):
     """Communication delays d_ij(k): agent i sees x_j(k - d_ij(k)).
 
     Bounded by ``d_star``; the diagonal is identically zero (each agent
@@ -535,7 +526,7 @@ def run_delayed_rai(
     # y = [x(0); x(-1); ...; x(-d_star)], newest first.
     y = np.concatenate([_check_x0(h, n, "history vector") for h in hist][::-1])
     stacked_cache: dict = {}
-    matvec = _matvec(y.shape[0])
+    matvec = product(y.shape[0])
     window_max = np.empty(steps + 1)
     window_max[0] = y.max()
 
@@ -722,7 +713,7 @@ def sorted_transform(traj: Trajectory, seq: MatrixSequence):
         W = seq.matrix(k).entries
         V = W[np.ix_(perms[k + 1], perms[k])]
         lhs = sorted_states[k + 1]
-        rhs = V @ sorted_states[k]
+        rhs = product(traj.n)(V, sorted_states[k])
         slack = FEAS_TOL * np.maximum(1.0, np.abs(rhs))
         if np.any(lhs > rhs + slack):
             i = int(np.argmax(lhs - rhs))

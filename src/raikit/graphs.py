@@ -71,16 +71,28 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _equal(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_equal, a, b))
+    return bool(a == b)
+
+
 def fields_equal(self, other) -> bool:
     """Value ``__eq__`` for dataclasses holding arrays: same type, then
-    ``np.array_equal`` on ndarray fields and ``==`` on the others."""
+    field by field, ``np.array_equal`` on arrays, tuples and lists item by
+    item, and ``==`` on the rest."""
     if type(other) is not type(self):
         return NotImplemented
-    for f in fields(self):
-        a, b = getattr(self, f.name), getattr(other, f.name)
-        if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
-            return False
-    return True
+    return all(_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+class ArrayFields:
+    """Base of the array-holding dataclasses (eq=False): fields_equal, unhashable."""
+
+    __eq__ = fields_equal
+    __hash__ = None  # type: ignore[assignment]
 
 
 class Report:
@@ -95,7 +107,7 @@ class Report:
 
 
 @dataclass(frozen=True, eq=False)
-class WeightedDigraph:
+class WeightedDigraph(ArrayFields):
     """Immutable weighted digraph on nodes ``0..n-1``.
 
     ``weights[i][j]`` is the weight of arc ``j -> i`` (influence of j on i).
@@ -118,9 +130,6 @@ class WeightedDigraph:
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-
-    __eq__ = fields_equal
-    __hash__ = None  # type: ignore[assignment]
 
     @classmethod
     def from_weights(cls, rows: Iterable[Iterable[float]]) -> "WeightedDigraph":

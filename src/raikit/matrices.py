@@ -23,13 +23,14 @@ from typing import Iterable, TypeVar
 import numpy as np
 
 from .graphs import (
+    ArrayFields,
     Report,
     WeightedDigraph,
-    fields_equal,
     is_aperiodic,
     reachable,
     strong_components,
 )
+from .products import product
 from .tolerances import EIG_TOL, ENTRY_FLUSH, ROW_SUM_TOL
 
 __all__ = [
@@ -92,16 +93,13 @@ _M = TypeVar("_M", bound="_SquareMatrix")
 
 
 @dataclass(frozen=True, eq=False)
-class _SquareMatrix:
+class _SquareMatrix(ArrayFields):
     """Fields and graph shared by both matrix classes, each of which
     validates ``entries`` in its own ``__post_init__``.  Equal when the
     validated entries are identical; unhashable."""
 
     n: int
     entries: np.ndarray
-
-    __eq__ = fields_equal
-    __hash__ = None  # type: ignore[assignment]
 
     @classmethod
     def from_rows(cls: type[_M], rows: Iterable[Iterable[float]]) -> _M:
@@ -167,8 +165,8 @@ class SubstochasticMatrix(_SquareMatrix):
         object.__setattr__(self, "deficiency_set", frozenset(deficient))
 
 
-@dataclass(frozen=True)
-class SiaVerdict(Report):
+@dataclass(frozen=True, eq=False)
+class SiaVerdict(Report, ArrayFields):
     """Outcome of the ergodicity test for a row-stochastic matrix.
 
     ``is_sia`` holds iff powers of the matrix converge to a rank-one matrix
@@ -202,13 +200,14 @@ def _stationary_vector(W: np.ndarray) -> np.ndarray:
     n = W.shape[0]
     v = np.full(n, 1.0 / n)
     WT = W.T
+    matvec = product(n)
     for _ in range(100 * n):
-        nxt = WT @ v  # mass is conserved, no renormalization needed
+        nxt = matvec(WT, v)  # mass is conserved, no renormalization needed
         if float(np.max(np.abs(nxt - v))) < EIG_TOL / 10:
             v = nxt
             break
         v = nxt
-    if float(np.max(np.abs(WT @ v - v))) > EIG_TOL:
+    if float(np.max(np.abs(matvec(WT, v) - v))) > EIG_TOL:
         # Slow mixing; fall back to the dense eigenproblem.
         vals, vecs = np.linalg.eig(WT)
         idx = int(np.argmin(np.abs(vals - 1.0)))
@@ -239,7 +238,7 @@ def is_primitive(W: RowStochasticMatrix) -> bool:
     powered = bool(P.all())
     k = 1
     while not powered and k < bound:
-        P = (P @ B) > 0
+        P = product(n)(P, B) > 0
         k += 1
         powered = bool(P.all())
     if powered != criterion:
@@ -256,17 +255,18 @@ def spectral_radius(A: SubstochasticMatrix) -> float:
     has not settled within 100 n iterations."""
     n = A.n
     B = A.entries + np.eye(n)
+    mul = product(n)
     v = np.full(n, 1.0)
     rayleigh = 0.0
     converged = False
     for _ in range(100 * n):
-        w = B @ v
+        w = mul(B, v)
         norm = float(np.max(np.abs(w)))
         if norm == 0.0:
             return 0.0
         w = w / norm
-        new_rayleigh = float(w @ (B @ w)) / float(w @ w)
-        residual = float(np.max(np.abs(B @ w - new_rayleigh * w)))
+        new_rayleigh = float(mul(w, mul(B, w))) / float(mul(w, w))
+        residual = float(np.max(np.abs(mul(B, w) - new_rayleigh * w)))
         if abs(new_rayleigh - rayleigh) < EIG_TOL / 10 and residual < EIG_TOL:
             v = w
             rayleigh = new_rayleigh

@@ -11,9 +11,10 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .engine import Trajectory, _check_x0, _iterate, _matvec, _tail
-from .graphs import Report, WeightedDigraph, reachable
+from .engine import Trajectory, _check_x0, _iterate, _tail
+from .graphs import ArrayFields, Report, WeightedDigraph, reachable
 from .matrices import RowStochasticMatrix
+from .products import product
 from .sequences import IndexedSequence, MatrixSequence
 from .tolerances import CLUSTER_TOL, CONSENSUS_TOL, FEAS_TOL
 
@@ -148,7 +149,7 @@ def run_hk(x0, cfg: HkConfig, max_steps: int) -> tuple[Trajectory, ClusterReport
     a = cfg.awareness_vector(x.shape[0])
     keep = 1.0 - a
     pull = cfg.truth * a
-    matvec = _matvec(x.shape[0])
+    matvec = product(x.shape[0])
 
     def step(k, x, delta, out):
         W = hk_weights(x, cfg.epsilon).entries
@@ -177,8 +178,8 @@ def _coerce_signed(n: int, value) -> np.ndarray:
     return signed
 
 
-@dataclass(frozen=True)
-class SignedMatrixSequence:
+@dataclass(frozen=True, eq=False)
+class SignedMatrixSequence(ArrayFields):
     """Sequence A(0), A(1), ... of signed matrices whose absolute values are
     row-stochastic and whose diagonals are nonnegative; negative entries
     encode antagonistic influence.  Stored by an IndexedSequence, so a
@@ -238,7 +239,7 @@ def run_altafini(seq: SignedMatrixSequence, x0, steps: int) -> Trajectory:
     if steps < 0:
         raise ValueError("steps must be >= 0")
     x = _check_x0(x0, seq.n)
-    matvec = _matvec(seq.n)
+    matvec = product(seq.n)
 
     def step(k, x, delta, out):
         A = seq.matrix(k)

@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .graphs import (
+    ArrayFields,
     Cut,
     Report,
     WeightedDigraph,
@@ -113,8 +114,8 @@ class IndexedSequence:
         return got
 
 
-@dataclass(frozen=True)
-class MatrixSequence:
+@dataclass(frozen=True, eq=False)
+class MatrixSequence(ArrayFields):
     """A sequence W(0), W(1), ... of validated row-stochastic matrices.
 
     Backed either by an explicit list or by a pure function k -> W(k)
@@ -132,8 +133,6 @@ class MatrixSequence:
     horizon_K: int | None = None
     matrices: tuple | None = None
     generator: Callable[[int], object] | None = None
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -206,8 +205,8 @@ def _default_horizon(seq: MatrixSequence, M: int = 0, T: int = 0) -> int:
     return max(h, 1)
 
 
-@dataclass(frozen=True)
-class PersistentGraphEstimate:
+@dataclass(frozen=True, eq=False)
+class PersistentGraphEstimate(ArrayFields):
     """0/1 graph of arcs whose weight series is judged divergent.
 
     For periodic sequences the verdict is exact (arc present iff its sum

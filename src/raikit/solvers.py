@@ -12,9 +12,7 @@ x(k+1) <= W(k) x(k), so the network results apply verbatim.
 
 A round is a few whole-array passes.  Each projector kind has one closed
 form on the rows of an array, and a problem stacks the parameters of the
-agents that share a form, so one call projects them all.  Its row dots are
-one batched matmul whose rows each make the BLAS ddot call of a 1-D
-``a @ x``, so a stacked round has the bits of the row-by-row one.
+agents that share a form, so one call projects them all.
 """
 
 from __future__ import annotations
@@ -25,7 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .graphs import Report
+from .graphs import ArrayFields, Report
+from .products import matvecs, product, rowdots
 from .sequences import MatrixSequence
 from .tolerances import FP_TOL, MAX_ITERS, SOLVER_TOL
 
@@ -47,9 +46,9 @@ ALGORITHMS = ("pre_project", "double_project", "convex_blend")
 
 def _norm(v: np.ndarray) -> float:
     """numpy's norm of a float vector, unwrapped: ravel (a strided view is
-    copied to a contiguous one), one dot, one sqrt."""
-    v = v.ravel(order="K")
-    return math.sqrt(v.dot(v))
+    copied to a contiguous one), one row dot, one sqrt."""
+    v = v.ravel(order="K")[None]
+    return math.sqrt(rowdots(v, v)[0])
 
 
 @dataclass(frozen=True)
@@ -67,19 +66,6 @@ class Paracontraction:
         return _norm(self.apply(xi) - xi) < FP_TOL
 
 
-def _rowdots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """a_i . b_i for each row pair of two (m, d) arrays: each row is one
-    BLAS ddot, the call of a 1-D ``a @ b`` or ``a.dot(b)``, so each has
-    their bits."""
-    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
-
-
-def _matvecs(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """A_i @ x_i for an (m, p, d) stack of matrices and the rows of an
-    (m, d) array: each is the BLAS call, and so the bits, of a 2-D ``A @ x``."""
-    return np.matmul(A, X[:, :, None])[:, :, 0]
-
-
 def _vector(name: str, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
@@ -94,11 +80,11 @@ def _vector(name: str, v) -> np.ndarray:
 
 
 def _hyperplane(X, A, b, nrm2):
-    return X - ((_rowdots(A, X) - b) / nrm2)[:, None] * A
+    return X - ((rowdots(A, X) - b) / nrm2)[:, None] * A
 
 
 def _halfspace(X, A, b, nrm2):
-    slack = _rowdots(A, X) - b
+    slack = rowdots(A, X) - b
     out, moved = X.copy(), ~(slack <= 0)  # a NaN slack moves, as in the scalar rule
     out[moved] -= (slack[moved] / nrm2[moved])[:, None] * A[moved]
     return out
@@ -106,14 +92,14 @@ def _halfspace(X, A, b, nrm2):
 
 def _ball(X, C, r):
     off = X - C
-    dist = np.sqrt(_rowdots(off, off))
+    dist = np.sqrt(rowdots(off, off))
     out, moved = X.copy(), ~(dist <= r)
     out[moved] = C[moved] + (r[moved] / dist[moved])[:, None] * off[moved]
     return out
 
 
 def _affine_subspace(X, A, pinv, b):
-    return X - _matvecs(pinv, _matvecs(A, X) - b)
+    return X - matvecs(pinv, matvecs(A, X) - b)
 
 
 @dataclass(frozen=True)
@@ -149,7 +135,7 @@ class ConvexProjector(Paracontraction):
     @classmethod
     def hyperplane(cls, a, b: float) -> "ConvexProjector":
         a = _vector("hyperplane a", a)
-        nrm2 = float(a @ a)
+        nrm2 = float(product(a.shape[0])(a, a))
         if not nrm2 > 0:
             raise ValueError("hyperplane normal must be nonzero")
         b = float(b)
@@ -160,7 +146,7 @@ class ConvexProjector(Paracontraction):
     @classmethod
     def halfspace(cls, a, b: float) -> "ConvexProjector":
         a = _vector("halfspace a", a)
-        nrm2 = float(a @ a)
+        nrm2 = float(product(a.shape[0])(a, a))
         if not nrm2 > 0:
             raise ValueError("halfspace normal must be nonzero")
         b = float(b)
@@ -199,9 +185,9 @@ class ConvexProjector(Paracontraction):
         if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise ValueError("affine subspace A and b must be finite")
         pinv = np.linalg.pinv(A)
-        least = pinv @ b
+        least = product(pinv.shape[0])(pinv, b)
         scale = max(1.0, float(np.abs(b).max(initial=0.0)))
-        if float(np.abs(A @ least - b).max(initial=0.0)) > 1e-8 * scale:
+        if float(np.abs(product(A.shape[0])(A, least) - b).max(initial=0.0)) > 1e-8 * scale:
             raise ValueError("equations are inconsistent; the subspace is empty")
         return cls._closed_form(A.shape[1], _affine_subspace, A, pinv, b)
 
@@ -211,8 +197,8 @@ def project(p, xi) -> np.ndarray:
     return p.apply(np.asarray(xi, dtype=float))
 
 
-@dataclass(frozen=True)
-class MultiAgentProblem:
+@dataclass(frozen=True, eq=False)
+class MultiAgentProblem(ArrayFields):
     """n agents, one map each, coupled through an averaging sequence.  The
     agents are grouped by closed form once, here, for solve and step."""
 
@@ -300,7 +286,7 @@ def _step(problem: MultiAgentProblem, states: np.ndarray, k: int, projected: np.
         for term in (Wk[:, :, None] * states).reshape(problem.n**2, -1).take(slots, axis=0):
             out += term
         return out
-    mixed = Wk @ (states if problem.algorithm == "pre_project" else projected)
+    mixed = product(problem.n)(Wk, states if problem.algorithm == "pre_project" else projected)
     return _project(problem._groups, mixed)
 
 
@@ -317,8 +303,8 @@ def step(problem: MultiAgentProblem, states: np.ndarray, k: int) -> np.ndarray:
     return _step(problem, states, k, projected, _slots(n))
 
 
-@dataclass(frozen=True)
-class SolveResult(Report):
+@dataclass(frozen=True, eq=False)
+class SolveResult(Report, ArrayFields):
     converged: bool
     solution: np.ndarray
     iterations: int
@@ -345,7 +331,7 @@ def _residuals(problem: MultiAgentProblem, states: np.ndarray, k: int) -> tuple:
     diffs = np.empty((n + n * n, d))
     np.subtract(projected, states, out=diffs[:n])
     np.subtract(states[:, None], states, out=diffs[n:].reshape(n, n, d))
-    gap, spread = np.maximum.reduceat(_rowdots(diffs, diffs), [0, n]).tolist()
+    gap, spread = np.maximum.reduceat(rowdots(diffs, diffs), [0, n]).tolist()
     if not (math.isfinite(gap) and math.isfinite(spread)):
         raise ValueError(f"solver state became non-finite at iteration {k}")
     return math.sqrt(spread), math.sqrt(gap), projected
@@ -390,8 +376,8 @@ def solve(
     )
 
 
-@dataclass(frozen=True)
-class AuditReport(Report):
+@dataclass(frozen=True, eq=False)
+class AuditReport(Report, ArrayFields):
     violations: int
     worst_margin: float | None
     fixed_point: np.ndarray

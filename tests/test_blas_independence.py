@@ -1,6 +1,6 @@
 """Balance verdicts must not depend on the BLAS kernel: the same scenario
 run under different forced OpenBLAS core types gives identical bytes.  The
-engines' product helper must give the bits of ``@`` under each kernel."""
+functions of raikit.products must give the bits of ``@`` under each kernel."""
 
 import json
 import os
@@ -112,17 +112,32 @@ def test_verdict_bytes_identical_under_forced_blas_core_types(make, tmp_path):
         assert (out / f"{name}.verdict.json").read_bytes() == here, core
 
 
+def _run_under(core, script):
+    """The words that ``script`` prints in a child process whose OpenBLAS
+    kernel is forced to ``core`` (None: the default kernel)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_CORETYPE", None)
+    if core is not None:
+        env["OPENBLAS_CORETYPE"] = core
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
 # Random row-stochastic and signed matrices, n = 1..70, against vectors with
-# signed zeros and subnormals; prints the number of products compared.
-_MATVEC_CHECK = """
+# signed zeros and subnormals: W x, the transposed view W.T x that
+# check_sia's power iteration takes, and x . x; then W X for (n, d) right
+# operands, as a solver round averages its states.  Prints the number of
+# products compared.
+_PRODUCT_CHECK = """
 import numpy as np
-from raikit.engine import _matvec
+from raikit.products import product
 
 rng = np.random.default_rng(14)
 specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310])
 count = 0
 for n in range(1, 71):
-    matvec = _matvec(n)
+    matvec = product(n)
     for signed in (False, True):
         raw = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
         np.fill_diagonal(raw, rng.random(n) + 0.1)
@@ -139,25 +154,25 @@ for n in range(1, 71):
             out = np.empty(n)
             matvec(W, x, out=out)
             assert matvec(W, x).tobytes() == want and out.tobytes() == want, (n, signed, x)
+            assert matvec(W.T, x).tobytes() == (W.T @ x).tobytes(), (n, signed, x)
+            assert matvec(x, x).tobytes() == (x @ x).tobytes(), (n, x)
+            count += 3
+        for d in (1, 2, 3, 5):
+            X = np.stack([vectors[t % 5] for t in range(d)], axis=1)
+            assert matvec(W, X).tobytes() == (W @ X).tobytes(), (n, signed, d)
             count += 1
 print(count)
 """
 
 
 @pytest.mark.parametrize("core", [None, "Haswell", "Sandybridge"])
-def test_matvec_helper_gives_the_bits_of_matmul_under_forced_blas_core_types(core):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    env.pop("OPENBLAS_CORETYPE", None)
-    if core is not None:
-        env["OPENBLAS_CORETYPE"] = core
-    proc = subprocess.run([sys.executable, "-c", _MATVEC_CHECK], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(70 * 2 * 5)]
+def test_product_gives_the_bits_of_matmul_under_forced_blas_core_types(core):
+    assert _run_under(core, _PRODUCT_CHECK) == [str(70 * 2 * (5 * 3 + 4))]
 
 
-# The same vectors against the identity, whose product run_rai skips on a
+# The same operands against the identity, whose product run_rai skips on a
 # silent step: it must be x + 0.0 bitwise, under every kernel.
-_IDENTITY_CHECK = _MATVEC_CHECK.replace(
+_IDENTITY_CHECK = _PRODUCT_CHECK.replace(
     "            want = (W @ x).tobytes()\n",
     "            W = np.eye(n)\n            want = (x + 0.0).tobytes()\n",
 )
@@ -165,14 +180,8 @@ _IDENTITY_CHECK = _MATVEC_CHECK.replace(
 
 @pytest.mark.parametrize("core", [None, "Haswell", "Sandybridge"])
 def test_identity_product_is_x_plus_zero_under_forced_blas_core_types(core):
-    assert _IDENTITY_CHECK != _MATVEC_CHECK
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    env.pop("OPENBLAS_CORETYPE", None)
-    if core is not None:
-        env["OPENBLAS_CORETYPE"] = core
-    proc = subprocess.run([sys.executable, "-c", _IDENTITY_CHECK], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(70 * 2 * 5)]
+    assert _IDENTITY_CHECK != _PRODUCT_CHECK
+    assert _run_under(core, _IDENTITY_CHECK) == [str(70 * 2 * (5 * 3 + 4))]
 
 
 # The solver's batched products against their per-row forms: row dots
@@ -183,7 +192,7 @@ def test_identity_product_is_x_plus_zero_under_forced_blas_core_types(core):
 # difference shows that the batched path reaches BLAS.
 _BATCHED_CHECK = """
 import numpy as np
-from raikit.solvers import _matvecs, _rowdots
+from raikit.products import matvecs, rowdots
 
 rng = np.random.default_rng(20)
 specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310])
@@ -201,9 +210,9 @@ count = 0
 for d in (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 32, 33, 64, 100, 127, 128, 255, 256, 500, 999, 1000):
     for strided in (False, True):
         A, X = rows(6, d, strided=strided), rows(6, d, strided=strided)
-        got = _rowdots(A, X)
+        got = rowdots(A, X)
         assert got.tobytes() == np.array([a @ x for a, x in zip(A, X)]).tobytes(), (d, strided)
-        got = _rowdots(X, X)
+        got = rowdots(X, X)
         assert got.tobytes() == np.array([r.dot(r) for r in X]).tobytes(), (d, strided)
         count += 12
         if d > 128:
@@ -211,8 +220,8 @@ for d in (1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 32, 33, 64, 100, 127, 128, 255, 25
         for m in (1, 2, 3):
             M, P = rows(4, m, d, strided=strided), rows(4, d, m, strided=strided)
             X, R = rows(4, d, strided=strided), rows(4, m, strided=strided)
-            assert _matvecs(M, X).tobytes() == np.array([Mi @ x for Mi, x in zip(M, X)]).tobytes(), (d, m, strided)
-            assert _matvecs(P, R).tobytes() == np.array([Pi @ r for Pi, r in zip(P, R)]).tobytes(), (d, m, strided)
+            assert matvecs(M, X).tobytes() == np.array([Mi @ x for Mi, x in zip(M, X)]).tobytes(), (d, m, strided)
+            assert matvecs(P, R).tobytes() == np.array([Pi @ r for Pi, r in zip(P, R)]).tobytes(), (d, m, strided)
             count += 8
 print(count)
 
@@ -222,19 +231,13 @@ for _ in range(3):
     total = 0.0
     for p in (a * x).tolist():
         total += p
-    differs += _rowdots(a[None], x[None])[0] != total
+    differs += rowdots(a[None], x[None])[0] != total
 print(differs)
 """
 
 
 @pytest.mark.parametrize("core", [None, "Haswell", "Sandybridge"])
 def test_batched_solver_products_give_the_bits_of_per_row_products_under_forced_blas_core_types(core):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    env.pop("OPENBLAS_CORETYPE", None)
-    if core is not None:
-        env["OPENBLAS_CORETYPE"] = core
-    proc = subprocess.run([sys.executable, "-c", _BATCHED_CHECK], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    count, differs = proc.stdout.split()
+    count, differs = _run_under(core, _BATCHED_CHECK)
     assert count == str(22 * 2 * 12 + 17 * 2 * 3 * 8)
     assert int(differs) > 0
