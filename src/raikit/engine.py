@@ -33,7 +33,7 @@ import numpy as np
 from .graphs import ArrayFields, Cut, Report
 from .matrices import RowStochasticMatrix
 from .products import product
-from .sequences import IndexedSequence, MatrixSequence
+from .sequences import IndexedSequence, MatrixSequence, _check_count
 from .tolerances import (
     CONSENSUS_TOL,
     DIVERGENCE_FLOOR,
@@ -144,12 +144,6 @@ class Trajectory(Report, ArrayFields):
         if self.window_max is None:
             del obj["window_max"]  # only delayed runs have the key
         return obj
-
-
-def _check_count(name: str, v) -> None:
-    """Reject anything but an integer >= 0; a bool is not an integer here."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {v!r}")
 
 
 @dataclass(frozen=True)

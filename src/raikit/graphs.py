@@ -228,8 +228,8 @@ def all_cuts(n: int) -> Iterator[Cut]:
             yield Cut(left=left, right=nodes - left)
 
 
-@dataclass(frozen=True)
-class SccDecomposition:
+@dataclass(frozen=True, eq=False)
+class SccDecomposition(ArrayFields):
     """Strongly connected components with condensation and per-component roles.
 
     ``classification[c]`` is one of ``source`` (condensation in-degree 0 only),

@@ -1,21 +1,23 @@
 """Opinion dynamics with state-dependent or signed weights: bounded
 confidence (with optional attraction to a fixed truth value) and the
 signed averaging model, with terminal clustering and balance analytics.
+
+Signed sequences share ``MatrixSequence``'s base and read like it: one
+``block`` per gauge search, one fetch of the weights per ``run_altafini``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .engine import Trajectory, _check_x0, _iterate, _tail
-from .graphs import ArrayFields, Report, WeightedDigraph, reachable
+from .graphs import Report, WeightedDigraph, reachable
 from .matrices import RowStochasticMatrix
 from .products import product
-from .sequences import IndexedSequence, MatrixSequence
+from .sequences import MatrixSequence, _WeightSequence
 from .tolerances import CLUSTER_TOL, CONSENSUS_TOL, FEAS_TOL
 
 __all__ = [
@@ -179,28 +181,17 @@ def _coerce_signed(n: int, value) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class SignedMatrixSequence(ArrayFields):
+class SignedMatrixSequence(_WeightSequence):
     """Sequence A(0), A(1), ... of signed matrices whose absolute values are
     row-stochastic and whose diagonals are nonnegative; negative entries
-    encode antagonistic influence.  Stored by an IndexedSequence, so a
-    generator must be pure: its matrices are cached once validated."""
+    encode antagonistic influence.  A sibling of ``MatrixSequence`` on the
+    same base: fields, storage, period check and ``block`` are shared."""
 
-    n: int
-    period: int = 0
-    matrices: tuple | None = None
-    generator: Callable[[int], object] | None = None
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        store = IndexedSequence(partial(_coerce_signed, self.n), self.period, self.matrices, self.generator)
-        object.__setattr__(self, "_store", store)
-        object.__setattr__(self, "matrices", store.items)
+    _validate = staticmethod(_coerce_signed)
 
     @classmethod
     def constant(cls, A) -> "SignedMatrixSequence":
-        a = np.asarray(A, dtype=float)
-        return cls(n=a.shape[0], period=1, matrices=(a,))
+        return cls.explicit([A], period=1)
 
     @classmethod
     def explicit(cls, mats: Iterable, period: int = 0) -> "SignedMatrixSequence":
@@ -218,15 +209,8 @@ class SignedMatrixSequence(ArrayFields):
     def absolute_sequence(self) -> MatrixSequence:
         """The magnitude sequence |A(k)| as a plain averaging sequence."""
         if self.matrices is not None:
-            return MatrixSequence(
-                n=self.n,
-                period=self.period,
-                matrices=tuple(np.abs(m) for m in self.matrices),
-            )
-        fn = self.generator
-        return MatrixSequence.from_generator(
-            lambda k: np.abs(_coerce_signed(self.n, fn(k))), self.n, period=self.period
-        )
+            return MatrixSequence(n=self.n, period=self.period, matrices=tuple(map(np.abs, self.matrices)))
+        return MatrixSequence(n=self.n, period=self.period, generator=lambda k: np.abs(self.matrix(k)))
 
 
 def run_altafini(seq: SignedMatrixSequence, x0, steps: int) -> Trajectory:
@@ -235,17 +219,20 @@ def run_altafini(seq: SignedMatrixSequence, x0, steps: int) -> Trajectory:
     The stored residuals certify the companion inequality on magnitudes:
     |x(k+1)| <= |A(k)| |x(k)| entrywise, with residual
     delta(k) = |A(k)||x(k)| - |x(k+1)| >= 0; a violation beyond rounding
-    is an internal error."""
+    is an internal error.  Weights and magnitudes are fetched once, before
+    the first step (one period of them for a periodic sequence)."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     x = _check_x0(x0, seq.n)
+    period = seq.period or steps
+    weights = [seq.matrix(k) for k in range(min(period, steps))]
+    magnitudes = [np.abs(A) for A in weights]
     matvec = product(seq.n)
 
     def step(k, x, delta, out):
-        A = seq.matrix(k)
-        matvec(A, x, out=out)
+        matvec(weights[k % period], x, out=out)
         mags = np.abs(x)
-        np.subtract(matvec(np.abs(A), mags), np.abs(out), out=delta)
+        np.subtract(matvec(magnitudes[k % period], mags), np.abs(out), out=delta)
         if np.any(delta < -FEAS_TOL * np.maximum(1.0, mags.max())):
             raise RuntimeError(f"magnitude inequality violated at step {k}")
 
@@ -307,7 +294,7 @@ def recover_structural_balance(seq: SignedMatrixSequence, horizon: int) -> Struc
     and at least one whole period of a periodic sequence, ending at
     max(horizon, period); early transients are allowed to disagree).
 
-    The tail is read once into the patterns of positive and negative
+    One ``block`` reads the tail into the patterns of positive and negative
     entries.  On the doubled graph, where node v + n stands for v with its
     sign flipped, a positive entry joins its two ends and a negative one
     joins each end to the other's flip; the constraints are unsatisfiable
@@ -317,12 +304,8 @@ def recover_structural_balance(seq: SignedMatrixSequence, horizon: int) -> Struc
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     n, p = seq.n, seq.period
-    pos = np.zeros((n, n), dtype=bool)
-    neg = np.zeros((n, n), dtype=bool)
-    for k in range(max(horizon, p) - max(1, horizon // 4, p), max(horizon, p)):
-        A = seq.matrix(k)
-        pos |= A > 0
-        neg |= A < 0  # never on the diagonal, which is nonnegative
+    tail = seq.block(max(horizon, p) - max(1, horizon // 4, p), max(horizon, p))
+    pos, neg = (tail > 0).any(axis=0), (tail < 0).any(axis=0)  # neg: never on the diagonal
     signs = np.block([[pos, neg], [neg, pos]])
     lifted = WeightedDigraph(n=2 * n, weights=signs | signs.T)  # a self-loop reaches nothing
     gauge = [0] * n

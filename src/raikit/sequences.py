@@ -2,6 +2,9 @@
 them: persistent graphs, windowed arc counts, reciprocity, and the two
 windowed balance conditions.
 
+``MatrixSequence`` and the signed sequence of raikit.opinions share one
+private base: fields, store, integer and generator period checks, ``block``.
+
 Every checker reports an ``exact`` flag.  Periodic sequences admit exact
 verdicts (finitely many windows matter, by periodicity); aperiodic sequences
 are truncated at a horizon and the verdicts are documented heuristics.
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -21,6 +25,7 @@ from .graphs import (
     Report,
     WeightedDigraph,
     _cut_constant,
+    _equal,
     _max_closure,
     _unbalanced_cut,
     reachable,
@@ -114,39 +119,65 @@ class IndexedSequence:
         return got
 
 
-@dataclass(frozen=True, eq=False)
-class MatrixSequence(ArrayFields):
-    """A sequence W(0), W(1), ... of validated row-stochastic matrices.
+def _check_count(name: str, v) -> None:
+    """Reject anything but an integer >= 0; a bool is not an integer here."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {v!r}")
 
-    Backed either by an explicit list or by a pure function k -> W(k)
-    (stored by an IndexedSequence; generated matrices are cached in
-    ``cache``).  ``period`` > 0 declares W(k + period) = W(k) exactly (for
-    explicit storage the list length must equal the period); 0 means no
-    claimed periodicity.  ``horizon_K`` is the truncation length analysis
-    routines fall back to; None defers to each checker's documented default.
-    Two sequences are equal when n, period, horizon and the stored matrices
-    are equal and they share the generator; sequences are unhashable.
-    """
+
+@dataclass(frozen=True, eq=False)
+class _WeightSequence(ArrayFields):
+    """Fields, store, period checks and window reader of a weight sequence:
+    an explicit list or a pure function k -> step, stored by an
+    IndexedSequence (generated steps are cached in ``cache``).  ``period``
+    > 0 declares step k + period = step k exactly (an explicit list holds
+    one period; a generator is checked at k = 0); 0 claims no periodicity.
+    Equal when the fields are and the generator is shared; unhashable.  A
+    family sets ``_validate(n, raw)``, ``_entries`` (step -> array) and
+    ``matrix``."""
 
     n: int
     period: int = 0
-    horizon_K: int | None = None
     matrices: tuple | None = None
     generator: Callable[[int], object] | None = None
+
+    _entries = staticmethod(np.asarray)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be positive")
-        store = IndexedSequence(partial(_coerce, self.n), self.period, self.matrices, self.generator)
+        _check_count("period", self.period)
+        validate = partial(self._validate, self.n)
+        store = IndexedSequence(validate, self.period, self.matrices, self.generator)
         object.__setattr__(self, "_store", store)
         object.__setattr__(self, "cache", store.cache)
         object.__setattr__(self, "matrices", store.items)
         if self.generator is not None and self.period > 0:
-            # Spot-check the declared period on the generator once.
-            w0 = store.at(0)
-            wp = _coerce(self.n, self.generator(self.period))
-            if not np.array_equal(w0.entries, wp.entries):
+            if not _equal(store.at(0), validate(self.generator(self.period))):
                 raise ValueError("generator violates its declared period at k=0")
+
+    def block(self, k0: int, k1: int) -> np.ndarray:
+        """Steps k0, ..., k1-1 as one read-only (k1-k0, n, n) array, every
+        step read through ``matrix`` first: past the end of a finite list
+        that raises "has no term k=...", before a caller decides anything."""
+        if not 0 <= k0 <= k1:
+            raise ValueError("block needs 0 <= k0 <= k1")
+        mats = [self._entries(self.matrix(k)) for k in range(k0, k1)]
+        out = np.array(mats).reshape(len(mats), self.n, self.n)
+        out.setflags(write=False)
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class MatrixSequence(_WeightSequence):
+    """A sequence W(0), W(1), ... of validated row-stochastic matrices.
+    ``horizon_K`` is the truncation length analysis routines fall back to;
+    None defers to each checker's documented default."""
+
+    horizon_K: int | None = None
+
+    _validate = staticmethod(_coerce)
+    _entries = staticmethod(attrgetter("entries"))
 
     @classmethod
     def constant(cls, W, horizon_K: int | None = None) -> "MatrixSequence":
@@ -174,17 +205,6 @@ class MatrixSequence(ArrayFields):
 
     def matrix(self, k: int) -> RowStochasticMatrix:
         return self._store.at(k)
-
-    def block(self, k0: int, k1: int) -> np.ndarray:
-        """W(k0), ..., W(k1-1) as one read-only (k1-k0, n, n) array, every
-        step read through ``matrix`` first: past the end of a finite list
-        that raises "has no term k=...", before a caller decides anything."""
-        if not 0 <= k0 <= k1:
-            raise ValueError("block needs 0 <= k0 <= k1")
-        mats = [self.matrix(k).entries for k in range(k0, k1)]
-        out = np.array(mats).reshape(len(mats), self.n, self.n)
-        out.setflags(write=False)
-        return out
 
     def known_length(self) -> int | None:
         """Length of the explicitly stored aperiodic list, else None."""

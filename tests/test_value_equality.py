@@ -90,7 +90,7 @@ def test_equal_to_a_deep_copy_and_unequal_after_one_field_changes(name):
 ARRAY_HOLDERS = {
     "AuditReport", "DelaySpec", "MatrixSequence", "MultiAgentProblem", "PersistentGraphEstimate",
     "RowStochasticMatrix", "SiaVerdict", "SignedMatrixSequence", "SolveResult", "SubstochasticMatrix",
-    "Trajectory", "WeightedDigraph",
+    "SccDecomposition", "Trajectory", "WeightedDigraph",
 }
 
 
