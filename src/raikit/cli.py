@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import DelaySpec, DisturbancePolicy, classify, run_delayed_rai, run_rai
+from .engine import POLICY_KINDS, DelaySpec, DisturbancePolicy, classify, run_delayed_rai, run_rai
 from .graphs import (
     WeightedDigraph,
     cut_balance_certificate,
@@ -148,22 +148,12 @@ def sequence_from_json_obj(obj: dict) -> MatrixSequence:
     raise ScenarioError("schema", f"unknown sequence kind {kind!r}")
 
 
-# The JSON type of each field that a policy kind reads.
-_POLICY_FIELDS = {
-    "vanishing_random": {"scale": "number", "decay": "number"},
-    "constant_random": {"scale": "number"},
-    "adversarial_replay": {"deltas": "number array"},
-}
-
-
 def _policy_from(obj, default_seed: int) -> DisturbancePolicy:
     if obj is None:
         return DisturbancePolicy.zero()
-    for key, kind in _POLICY_FIELDS.get(obj.get("kind"), {}).items():
-        _field(obj, key, kind)
-    if "seed" not in obj and obj.get("kind") in ("vanishing_random", "constant_random"):
-        obj = dict(obj, seed=default_seed)
-    return DisturbancePolicy.from_json_obj(obj)
+    for key, kind in POLICY_KINDS.get(_field(obj, "kind", "string"), {}).items():
+        _field(obj, key, kind, None if key == "seed" else _REQUIRED)
+    return DisturbancePolicy.from_json_obj(obj, default_seed)
 
 
 def _projector_from(obj: dict) -> ConvexProjector:

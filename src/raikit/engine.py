@@ -23,17 +23,17 @@ disturbances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import ArrayFields, Cut, Report
+from .graphs import ArrayFields, Cut, Report, _check_count, json_form
 from .matrices import RowStochasticMatrix
 from .products import product
-from .sequences import IndexedSequence, MatrixSequence, _check_count
+from .sequences import IndexedSequence, MatrixSequence
 from .tolerances import (
     CONSENSUS_TOL,
     DIVERGENCE_FLOOR,
@@ -146,6 +146,20 @@ class Trajectory(Report, ArrayFields):
         return obj
 
 
+# The JSON fields of each disturbance kind and their JSON types, read by
+# DisturbancePolicy's JSON methods and checked by the command line.  The
+# field "deltas" holds the attribute ``replay``.  A kind with a "seed" is
+# seeded; its seed may be absent, and the policy itself checks that it is
+# an integer, so a JSON number passes the type check.
+POLICY_KINDS = {
+    "zero": {},
+    "vanishing_random": {"scale": "number", "decay": "number", "seed": "number"},
+    "constant_random": {"scale": "number", "seed": "number"},
+    "adversarial_replay": {"deltas": "number array"},
+}
+_ATTRIBUTE = {"deltas": "replay"}
+
+
 @dataclass(frozen=True)
 class DisturbancePolicy:
     """Source of the nonnegative per-step disturbances delta(k).
@@ -203,24 +217,16 @@ class DisturbancePolicy:
         return cls(kind="adversarial_replay", replay=tuple(deltas))
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "DisturbancePolicy":
-        kind = obj["kind"]
-        if kind == "vanishing_random":
-            return cls.vanishing_random(obj["scale"], obj["decay"], obj.get("seed", 0))
-        if kind == "constant_random":
-            return cls.constant_random(obj["scale"], obj.get("seed", 0))
-        if kind == "adversarial_replay":
-            return cls.adversarial_replay(obj["deltas"])
-        return cls(kind=kind)  # "zero", or rejected as an unknown kind
+    def from_json_obj(cls, obj: dict, seed: int = 0) -> "DisturbancePolicy":
+        """The policy whose kind's POLICY_KINDS fields ``obj`` holds; a seeded
+        kind without "seed" takes ``seed``.  The policy rejects an unknown kind."""
+        fields = POLICY_KINDS.get(obj["kind"], {})
+        values = {_ATTRIBUTE.get(f, f): obj.get(f, seed) if f == "seed" else obj[f] for f in fields}
+        return cls(kind=obj["kind"], **values)
 
     def to_json_obj(self) -> dict:
-        if self.kind == "zero":
-            return {"kind": "zero"}
-        if self.kind == "vanishing_random":
-            return {"kind": "vanishing_random", "scale": self.scale, "decay": self.decay, "seed": self.seed}
-        if self.kind == "constant_random":
-            return {"kind": "constant_random", "scale": self.scale, "seed": self.seed}
-        return {"kind": "adversarial_replay", "deltas": [list(r) for r in self.replay]}
+        fields = POLICY_KINDS[self.kind]
+        return {"kind": self.kind, **{f: json_form(getattr(self, _ATTRIBUTE.get(f, f))) for f in fields}}
 
     def draw(self, n: int, steps: int) -> np.ndarray:
         """delta(0), ..., delta(steps-1) as a (steps, n) block.  One block
@@ -258,7 +264,7 @@ def _check_x0(x0, n: int | None, what: str = "initial vector") -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite state raises below
 def _iterate(
-    x: np.ndarray, steps: int, residuals: np.ndarray, step, window_max=None, silent=()
+    x: np.ndarray, steps: int, residuals: np.ndarray, step, silent=()
 ) -> tuple[Trajectory, int | None]:
     """The one step loop: ``step(k, x(k), r(k), out)`` writes x(k+1) into
     ``out``, reading or filling the residual row r(k), and a true return
@@ -315,8 +321,7 @@ def _iterate(
     finite = np.isfinite(M) & np.isfinite(m)
     if not finite.all():
         raise ValueError(f"state became non-finite at step {int(np.argmin(finite))}")
-    traj = Trajectory(states=states, residuals=residuals, M=M, m=m, d=M - m, window_max=window_max)
-    return traj, stop
+    return Trajectory(states=states, residuals=residuals, M=M, m=m, d=M - m), stop
 
 
 def _silent_stretches(silent: list, steps: int) -> Iterator[tuple[int, int]]:
@@ -354,8 +359,7 @@ def run_rai(
     periodic sequence, so a finite list too short for the run raises then.
     A step whose W(k) equals the identity exactly is silent: ``_iterate``
     advances each stretch of them without a product, with the same bits."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    _check_count("steps", steps)
     x = _check_x0(x0, seq.n)
     residuals = policy.draw(seq.n, steps)
     period = seq.period or steps
@@ -416,7 +420,6 @@ class DelaySpec(ArrayFields):
 
     def __post_init__(self) -> None:
         _check_count("d_star", self.d_star)
-        _check_count("period", self.period)
         store = IndexedSequence(
             partial(_validate_delays, self.d_star), self.period, self.tables, self.fn, hold_last=True
         )
@@ -428,18 +431,18 @@ class DelaySpec(ArrayFields):
         a = np.asarray(table)
         if d_star is None:
             d_star = int(a.max()) if a.size else 0
-        return cls(d_star=int(d_star), tables=(a,), period=1)
+        return cls(d_star=d_star, tables=(a,), period=1)
 
     @classmethod
     def periodic(cls, tables: Sequence, d_star: int | None = None) -> "DelaySpec":
         tabs = [np.asarray(t) for t in tables]
         if d_star is None:
             d_star = max(int(t.max()) for t in tabs)
-        return cls(d_star=int(d_star), tables=tuple(tabs), period=len(tabs))
+        return cls(d_star=d_star, tables=tuple(tabs), period=len(tabs))
 
     @classmethod
     def from_function(cls, fn: Callable[[int], object], d_star: int) -> "DelaySpec":
-        return cls(d_star=int(d_star), fn=fn)
+        return cls(d_star=d_star, fn=fn)
 
     def table(self, k: int) -> np.ndarray:
         return self._store.at(k)
@@ -481,8 +484,6 @@ def xiao_stack(W: RowStochasticMatrix, delays, d_star: int) -> RowStochasticMatr
     """Stack a constant-delay system into an undelayed one on n(d_star+1)
     coordinates: first block row scatters w_ij into block d_ij, lower block
     rows shift history.  With d_star=0 the result equals W."""
-    if d_star < 0:
-        raise ValueError("d_star must be >= 0")
     spec = DelaySpec.constant(delays, d_star=d_star)
     return _stack(W, spec.table(0), d_star)
 
@@ -508,8 +509,7 @@ def run_delayed_rai(
 
     The recorded ``window_max`` is the max over the whole delay window,
     non-increasing up to rounding (plain M(k) is not monotone here)."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    _check_count("steps", steps)
     n = seq.n
     ds = delays.d_star
     hist = list(history)
@@ -541,7 +541,8 @@ def run_delayed_rai(
         out[:] = y[:n]
         window_max[k + 1] = wm
 
-    return _iterate(y[:n], steps, policy.draw(n, steps), step, window_max)[0]
+    traj = _iterate(y[:n], steps, policy.draw(n, steps), step)[0]
+    return replace(traj, window_max=window_max)
 
 
 @dataclass(frozen=True)
@@ -683,8 +684,7 @@ def flow_contraction_bound_delayed(
     returned with a flag marking windows where theta_bar > 1 would make the
     contraction estimate vacuous (the flag cannot fire for eta in (0, 1],
     it exists to make that check explicit)."""
-    if d_star < 0:
-        raise ValueError("d_star must be >= 0")
+    _check_count("d_star", d_star)
     flow = _windowed_inflow(seq, cut, k0, k0p, k1, eta)
     theta_bar = float(eta**d_star * np.exp(-(eta ** (d_star + 1)) * flow))
     return theta_bar, theta_bar > 1.0

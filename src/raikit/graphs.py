@@ -71,6 +71,13 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _check_count(name: str, v) -> None:
+    """Reject anything but an integer >= 0; a bool is not an integer here.
+    The package's one test of a count: a length, a period, a delay bound."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {v!r}")
+
+
 def _equal(a, b) -> bool:
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return np.array_equal(a, b)
@@ -120,6 +127,7 @@ class WeightedDigraph(ArrayFields):
     weights: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_count("n", self.n)
         if self.n < 1:
             raise ValueError("node count must be at least 1")
         w = np.asarray(self.weights, dtype=float)
@@ -539,7 +547,7 @@ def graph_from_json(text: str) -> WeightedDigraph:
     obj = json.loads(text)
     if not isinstance(obj, dict) or "n" not in obj or "weights" not in obj:
         raise ValueError('graph JSON must be an object {"n": ..., "weights": [[...]]}')
-    return WeightedDigraph(n=int(obj["n"]), weights=np.asarray(obj["weights"], dtype=float))
+    return WeightedDigraph(n=obj["n"], weights=np.asarray(obj["weights"], dtype=float))
 
 
 def graph_to_edgelist(g: WeightedDigraph) -> str:
@@ -569,6 +577,7 @@ def graph_from_edgelist(text: str, n: int | None = None) -> WeightedDigraph:
         arcs.append((j, i, w))
         max_node = max(max_node, i, j)
     size = n if n is not None else max_node + 1
+    _check_count("n", size)
     if size < 1:
         raise ValueError("empty edge list and no node count given")
     weights = np.zeros((size, size))

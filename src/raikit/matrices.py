@@ -256,28 +256,21 @@ def spectral_radius(A: SubstochasticMatrix) -> float:
     n = A.n
     B = A.entries + np.eye(n)
     mul = product(n)
-    v = np.full(n, 1.0)
+    Bw = mul(B, np.full(n, 1.0))
     rayleigh = 0.0
-    converged = False
     for _ in range(100 * n):
-        w = mul(B, v)
-        norm = float(np.max(np.abs(w)))
+        norm = float(np.max(np.abs(Bw)))
         if norm == 0.0:
             return 0.0
-        w = w / norm
-        new_rayleigh = float(mul(w, mul(B, w))) / float(mul(w, w))
-        residual = float(np.max(np.abs(mul(B, w) - new_rayleigh * w)))
+        w = Bw / norm
+        Bw = mul(B, w)  # this round's quotient and residual, and the next round's iterate
+        new_rayleigh = float(mul(w, Bw)) / float(mul(w, w))
+        residual = float(np.max(np.abs(Bw - new_rayleigh * w)))
         if abs(new_rayleigh - rayleigh) < EIG_TOL / 10 and residual < EIG_TOL:
-            v = w
-            rayleigh = new_rayleigh
-            converged = True
-            break
-        v = w
+            return max(new_rayleigh - 1.0, 0.0)
         rayleigh = new_rayleigh
-    if not converged:
-        vals = np.linalg.eigvals(A.entries)
-        return float(np.max(np.abs(vals)))
-    return max(rayleigh - 1.0, 0.0)
+    vals = np.linalg.eigvals(A.entries)
+    return float(np.max(np.abs(vals)))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .engine import Trajectory, _check_x0, _iterate, _tail
-from .graphs import Report, WeightedDigraph, reachable
+from .graphs import Report, WeightedDigraph, _check_count, reachable
 from .matrices import RowStochasticMatrix
 from .products import product
 from .sequences import MatrixSequence, _WeightSequence
@@ -145,8 +145,7 @@ def run_hk(x0, cfg: HkConfig, max_steps: int) -> tuple[Trajectory, ClusterReport
     entrywise.  (The raw update is affine, so the raw max can grow toward
     the truth; the distance vector is the quantity with a one-sided drift.)
     """
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
+    _check_count("max_steps", max_steps)
     x = _check_x0(x0, None)
     a = cfg.awareness_vector(x.shape[0])
     keep = 1.0 - a
@@ -221,8 +220,7 @@ def run_altafini(seq: SignedMatrixSequence, x0, steps: int) -> Trajectory:
     delta(k) = |A(k)||x(k)| - |x(k+1)| >= 0; a violation beyond rounding
     is an internal error.  Weights and magnitudes are fetched once, before
     the first step (one period of them for a periodic sequence)."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    _check_count("steps", steps)
     x = _check_x0(x0, seq.n)
     period = seq.period or steps
     weights = [seq.matrix(k) for k in range(min(period, steps))]

@@ -3,7 +3,8 @@ them: persistent graphs, windowed arc counts, reciprocity, and the two
 windowed balance conditions.
 
 ``MatrixSequence`` and the signed sequence of raikit.opinions share one
-private base: fields, store, integer and generator period checks, ``block``.
+private base: fields, the n check, the store (which checks the period),
+the generator period check, ``block``.
 
 Every checker reports an ``exact`` flag.  Periodic sequences admit exact
 verdicts (finitely many windows matter, by periodicity); aperiodic sequences
@@ -24,6 +25,7 @@ from .graphs import (
     Cut,
     Report,
     WeightedDigraph,
+    _check_count,
     _cut_constant,
     _equal,
     _max_closure,
@@ -61,7 +63,8 @@ class IndexedSequence:
     """Values v(0), v(1), ... from explicit storage or a generator.
 
     ``validate`` maps a raw item to its stored form and raises ValueError
-    on bad input.  Explicit ``items`` are validated at construction: with
+    on bad input, as the store does on a ``period`` that is not an integer
+    >= 0.  Explicit ``items`` are validated at construction: with
     ``period`` > 0 they hold exactly one period and v(k) = items[k mod
     period]; with period 0 they are finite, and a lookup past their end
     raises, or with ``hold_last`` returns the last item.  A ``generator``
@@ -80,8 +83,7 @@ class IndexedSequence:
         generator: Callable[[int], object] | None = None,
         hold_last: bool = False,
     ) -> None:
-        if period < 0:
-            raise ValueError("period must be >= 0")
+        _check_count("period", period)
         if (items is None) == (generator is None):
             raise ValueError("exactly one of explicit items/generator must be given")
         if items is not None:
@@ -119,12 +121,6 @@ class IndexedSequence:
         return got
 
 
-def _check_count(name: str, v) -> None:
-    """Reject anything but an integer >= 0; a bool is not an integer here."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {v!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class _WeightSequence(ArrayFields):
     """Fields, store, period checks and window reader of a weight sequence:
@@ -144,9 +140,9 @@ class _WeightSequence(ArrayFields):
     _entries = staticmethod(np.asarray)
 
     def __post_init__(self) -> None:
+        _check_count("n", self.n)
         if self.n < 1:
             raise ValueError("n must be positive")
-        _check_count("period", self.period)
         validate = partial(self._validate, self.n)
         store = IndexedSequence(validate, self.period, self.matrices, self.generator)
         object.__setattr__(self, "_store", store)
@@ -216,6 +212,7 @@ class MatrixSequence(_WeightSequence):
 def _default_horizon(seq: MatrixSequence, M: int = 0, T: int = 0) -> int:
     # Long enough that periodic verdicts are exact by pigeonhole.
     if seq.horizon_K is not None:
+        _check_count("horizon_K", seq.horizon_K)
         h = seq.horizon_K
     else:
         h = 10 * seq.n * max(seq.period, 1) * (M + T + 1)
@@ -448,6 +445,7 @@ def gossip_sequence(
 
     Each alpha must lie in [eta, 1-eta]; arcs must join distinct nodes.
     """
+    _check_count("n", n)
     if n < 1:
         raise ValueError("n must be positive")
     if not 0 < eta <= 0.5:

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graphs import ArrayFields, Report
+from .graphs import ArrayFields, Report, _check_count
 from .products import matvecs, product, rowdots
 from .sequences import MatrixSequence
 from .tolerances import FP_TOL, MAX_ITERS, SOLVER_TOL
@@ -350,8 +350,7 @@ def solve(
     fixed point, enough network connectivity) are the caller's obligation,
     and the reported residuals tell which one failed.  The solution field is
     the agent average, meaningful only when converged."""
-    if max_iters < 0:
-        raise ValueError("max_iters must be >= 0")
+    _check_count("max_iters", max_iters)
     if not tol > 0:
         raise ValueError("tol must be positive")
     states = problem.initial.copy()

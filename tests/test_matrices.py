@@ -14,7 +14,8 @@ from raikit import (
     spectral_radius,
     stochastic_completion,
 )
-from raikit.tolerances import ROW_SUM_TOL
+from raikit.products import product
+from raikit.tolerances import EIG_TOL, ROW_SUM_TOL
 
 FRENCH = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [1 / 3, 1 / 3, 1 / 3]])
 
@@ -133,6 +134,48 @@ def test_spectral_radius_cases():
     assert spectral_radius(SubstochasticMatrix(n=2, entries=A)) == pytest.approx(root, abs=1e-10)
     nil = SubstochasticMatrix(n=2, entries=np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert spectral_radius(nil) == pytest.approx(0.0, abs=1e-10)
+
+
+def _spectral_radius_reference(A):
+    """spectral_radius as it was before one product per round: B @ w formed
+    three times a round, for the quotient, the residual and the next iterate."""
+    n = A.n
+    B = A.entries + np.eye(n)
+    mul = product(n)
+    v = np.full(n, 1.0)
+    rayleigh = 0.0
+    converged = False
+    for _ in range(100 * n):
+        w = mul(B, v)
+        norm = float(np.max(np.abs(w)))
+        if norm == 0.0:
+            return 0.0
+        w = w / norm
+        new_rayleigh = float(mul(w, mul(B, w))) / float(mul(w, w))
+        residual = float(np.max(np.abs(mul(B, w) - new_rayleigh * w)))
+        if abs(new_rayleigh - rayleigh) < EIG_TOL / 10 and residual < EIG_TOL:
+            v = w
+            rayleigh = new_rayleigh
+            converged = True
+            break
+        v = w
+        rayleigh = new_rayleigh
+    if not converged:
+        vals = np.linalg.eigvals(A.entries)
+        return float(np.max(np.abs(vals)))
+    return max(rayleigh - 1.0, 0.0)
+
+
+def test_spectral_radius_equals_its_three_product_loop_bit_for_bit():
+    rng = np.random.default_rng(20)
+    cases = [np.zeros((n, n)) for n in (1, 2, 5)] + [FRENCH, np.array([[0.0, 1.0], [1.0, 0.0]])]
+    for trial in range(300):
+        n = 1 + trial % 11
+        raw = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.2, 1.0))
+        cases.append(raw / max(raw.sum(axis=1).max(), 1e-300) * rng.uniform(0.5, 1.0))
+    for e in cases:
+        A = SubstochasticMatrix(n=e.shape[0], entries=e)
+        assert spectral_radius(A) == _spectral_radius_reference(A)
 
 
 def test_reachability_stability_edges():

@@ -8,7 +8,9 @@ import math
 
 import pytest
 
+from raikit import DisturbancePolicy
 from raikit.cli import _SCENARIO_DIR, SCHEMA_VERSION, run_scenario
+from raikit.engine import POLICY_KINDS
 
 INF, NAN = math.inf, math.nan
 
@@ -339,3 +341,55 @@ def test_number_array_leaves_must_be_json_numbers(tmp_path, capsys, base, path, 
     assert code == 2
     assert err.startswith("error: schema:") and "number" in err and err.count("\n") == 1, err
     assert not (tmp_path / "typed.verdict.json").exists()
+
+
+# One valid value of each policy field; every field of every kind in the
+# table must have one, so a new kind of known fields is covered as it is.
+POLICY_VALUES = {"scale": 0.01, "decay": 0.5, "seed": 3, "deltas": [[0.01, 0.0]]}
+POLICY_FIELDS = [(kind, field) for kind, fields in POLICY_KINDS.items() for field in fields]
+SEEDED = sorted(kind for kind, fields in POLICY_KINDS.items() if "seed" in fields)
+
+
+def _policy(kind):
+    return {"kind": kind, **{field: POLICY_VALUES[field] for field in POLICY_KINDS[kind]}}
+
+
+def test_the_policy_table_names_every_kind():
+    assert sorted(POLICY_KINDS) == ["adversarial_replay", "constant_random", "vanishing_random", "zero"]
+    assert SEEDED == ["constant_random", "vanishing_random"]
+
+
+@pytest.mark.parametrize("kind, field", POLICY_FIELDS)
+def test_every_policy_field_of_the_wrong_json_type_exits_two(tmp_path, capsys, kind, field):
+    scenario = _scenario("rai")
+    scenario["parameters"]["policy"] = _policy(kind)
+    assert _run(tmp_path, capsys, scenario)[0] in (0, 3)
+    (tmp_path / "typed.verdict.json").unlink()
+    scenario["parameters"]["policy"][field] = "x"
+    code, err = _run(tmp_path, capsys, scenario)
+    assert (code, err) == (2, f"error: schema: {field!r} must be a JSON {POLICY_KINDS[kind][field]}, got 'x'\n")
+    assert not (tmp_path / "typed.verdict.json").exists()
+
+
+@pytest.mark.parametrize("kind", sorted(POLICY_KINDS))
+def test_every_policy_kind_round_trips_through_json(kind):
+    policy = DisturbancePolicy.from_json_obj(_policy(kind))
+    assert policy.kind == kind
+    assert policy.to_json_obj() == _policy(kind)
+    assert DisturbancePolicy.from_json_obj(policy.to_json_obj()) == policy
+
+
+@pytest.mark.parametrize("kind", SEEDED)
+def test_a_seeded_policy_without_a_seed_takes_the_scenario_seed(tmp_path, capsys, kind):
+    unseeded = {key: value for key, value in _policy(kind).items() if key != "seed"}
+
+    def trajectory(scenario_seed, policy):
+        scenario = _scenario("rai")
+        scenario["seed"] = scenario_seed
+        scenario["parameters"]["policy"] = policy
+        assert _run(tmp_path, capsys, scenario)[0] in (0, 3)
+        return (tmp_path / "typed.trajectory.csv").read_bytes()
+
+    assert trajectory(7, unseeded) == trajectory(0, dict(unseeded, seed=7)) != trajectory(7, dict(unseeded, seed=8))
+    assert DisturbancePolicy.from_json_obj(unseeded, 7).seed == 7
+    assert DisturbancePolicy.from_json_obj(unseeded).seed == 0
