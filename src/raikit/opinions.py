@@ -63,19 +63,27 @@ class HkConfig:
         return np.array(self.awareness)
 
 
+def _neighbours(x: np.ndarray, epsilon: float) -> np.ndarray:
+    """The strict confidence graph of x: |x_i - x_j| < epsilon."""
+    return np.abs(x[:, None] - x[None, :]) < epsilon
+
+
+def _uniform(close: np.ndarray) -> RowStochasticMatrix:
+    """Uniform averaging over each row's neighbours in the pattern."""
+    return RowStochasticMatrix(n=close.shape[0], entries=close / close.sum(axis=1, keepdims=True))
+
+
 def hk_weights(x, epsilon: float) -> RowStochasticMatrix:
     """Uniform averaging over the agents within strict distance epsilon.
 
     Row i puts 1/|N_i| on each j with |x_j - x_i| < epsilon (i itself always
     qualifies, so the diagonal is at least 1/n).  The neighbor test is
-    strict; a pair exactly epsilon apart does not interact."""
+    strict; a pair exactly epsilon apart does not interact.  W depends on x
+    only through this pattern of neighbours: equal patterns give the same
+    validated matrix, bit for bit."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    close = np.abs(x[:, None] - x[None, :]) < epsilon
-    entries = close / close.sum(axis=1, keepdims=True)
-    return RowStochasticMatrix(n=n, entries=entries)
+    return _uniform(_neighbours(np.asarray(x, dtype=float), epsilon))
 
 
 @dataclass(frozen=True)
@@ -108,28 +116,21 @@ class ClusterReport(Report):
 
 
 def _cluster(final: np.ndarray, truth: float, states: np.ndarray, terminated_at):
-    n = final.shape[0]
     order = np.argsort(final, kind="stable")
-    clusters = [[int(order[0])]]
-    for idx in order[1:]:
-        if final[idx] - final[clusters[-1][-1]] <= CLUSTER_TOL:
-            clusters[-1].append(int(idx))
-        else:
-            clusters.append([int(idx)])
+    # single linkage on the sorted values: a gap above the tolerance splits
+    clusters = np.split(order, np.flatnonzero(np.diff(final[order]) > CLUSTER_TOL) + 1)
     values = tuple(float(np.mean(final[c])) for c in clusters)
     if len(values) > 1:
         min_gap = float(min(b - a for a, b in zip(values, values[1:])))
     else:
         min_gap = float("inf")
-    truth_cluster = tuple(i for i in range(n) if abs(final[i] - truth) < CONSENSUS_TOL)
     tail = states[-max(1, (states.shape[0] + 3) // 4) :]
-    frozen = tuple(int(i) for i in range(n) if np.all(tail[:, i] == tail[-1, i]))
     return ClusterReport(
-        clusters=tuple(tuple(sorted(c)) for c in clusters),
+        clusters=tuple(tuple(sorted(c.tolist())) for c in clusters),
         values=values,
         min_gap=min_gap,
-        truth_cluster=truth_cluster,
-        frozen_agents=frozen,
+        truth_cluster=tuple(np.flatnonzero(np.abs(final - truth) < CONSENSUS_TOL).tolist()),
+        frozen_agents=tuple(np.flatnonzero((tail == tail[-1]).all(axis=0)).tolist()),
         terminated_at=terminated_at,
     )
 
@@ -144,6 +145,10 @@ def run_hk(x0, cfg: HkConfig, max_steps: int) -> tuple[Trajectory, ClusterReport
     xi(k) = |x(k) - truth|, which satisfies xi(k+1) <= W(x(k)) xi(k)
     entrywise.  (The raw update is affine, so the raw max can grow toward
     the truth; the distance vector is the quantity with a one-sided drift.)
+
+    W(x) depends on x only through the strict neighbour pattern, so W is
+    divided and validated again only on a step whose pattern differs from
+    the previous step's: the reused W has the bits ``hk_weights`` gives.
     """
     _check_count("max_steps", max_steps)
     x = _check_x0(x0, None)
@@ -152,8 +157,13 @@ def run_hk(x0, cfg: HkConfig, max_steps: int) -> tuple[Trajectory, ClusterReport
     pull = cfg.truth * a
     matvec = product(x.shape[0])
 
+    close = W = None  # the previous step's pattern and its validated weights
+
     def step(k, x, delta, out):
-        W = hk_weights(x, cfg.epsilon).entries
+        nonlocal close, W
+        now = _neighbours(x, cfg.epsilon)
+        if W is None or not np.array_equal(now, close):
+            close, W = now, _uniform(now).entries
         np.add(keep * matvec(W, x), pull, out=out)
         np.subtract(matvec(W, np.abs(x - cfg.truth)), np.abs(out - cfg.truth), out=delta)
         return np.array_equal(out, x)

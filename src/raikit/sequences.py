@@ -276,7 +276,9 @@ def arc_count(seq: MatrixSequence, I: Iterable[int], J: Iterable[int], k0: int, 
     k in the inclusive window [k0, k1], read whole (at most one period).
     Each pair counts once no matter how often the arc fires."""
     Il, Jl = _check_sets(seq.n, I, J)
-    if k0 < 0 or k1 < k0:
+    _check_count("k0", k0)
+    _check_count("k1", k1)
+    if k1 < k0:
         raise ValueError("window must satisfy 0 <= k0 <= k1")
     end = k1
     if seq.period > 0:
@@ -317,7 +319,9 @@ def check_reciprocity(seq: MatrixSequence, M: int, T: int) -> ReciprocityReport:
     the horizon only, and a violation is reported only when the full
     response window fits inside it.  Every window's arcs come from one
     ``seq.block``: one period, or the horizon if a response window fits."""
-    if M < 1 or T < 0:
+    _check_count("M", M)
+    _check_count("T", T)
+    if M < 1:
         raise ValueError("need M >= 1 and T >= 0")
     n, p = seq.n, seq.period
     k0_count, exact = (p, True) if p > 0 else (_default_horizon(seq, M, T), False)
@@ -360,8 +364,7 @@ def _window_sums(seq: MatrixSequence, L: int) -> tuple[np.ndarray, bool]:
     for each window start k0 that matters (differences of the prefix sums of
     one block), and whether those starts cover every case: exactly the
     starts below the period for periodic sequences, else the horizon's."""
-    if L < 0:
-        raise ValueError("L must be >= 0")
+    _check_count("L", L)
     if seq.period > 0:
         k0_count, exact = seq.period, True
     else:

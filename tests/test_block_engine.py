@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from raikit import (
@@ -566,6 +566,91 @@ def test_run_hk_matches_list_loop(inp):
     ref, ref_report = _reference_run_hk(x0, cfg, max_steps)
     _assert_same(traj, ref)
     assert report == ref_report and report.to_json() == ref_report.to_json()
+
+
+# ---------------------------------------------------------------------------
+# run_hk rebuilds W only when the strict neighbour pattern changes.  The
+# oracle above builds it every step; the bits must agree, and the number of
+# matrices built must be one for the first step plus one per change.
+
+
+def _counted_run_hk(x0, cfg, max_steps):
+    """``run_hk`` with every ``RowStochasticMatrix`` built during it counted."""
+    built = []
+    init = RowStochasticMatrix.__post_init__
+
+    def counting(self):
+        built.append(self.n)
+        init(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RowStochasticMatrix, "__post_init__", counting)
+        traj, report = run_hk(x0, cfg, max_steps)
+    return traj, report, len(built)
+
+
+def _pattern_changes(traj, epsilon):
+    """Steps whose strict neighbour pattern differs from the previous
+    step's (the first step counts as a change), and the number of steps."""
+    patterns = [np.abs(x[:, None] - x[None, :]) < epsilon for x in traj.states[:-1]]
+    changed = sum(not np.array_equal(a, b) for a, b in zip(patterns, patterns[1:]))
+    return len(patterns[:1]) + changed, len(patterns)
+
+
+def _assert_reuse_matches_every_step_build(x0, cfg, max_steps):
+    traj, report, built = _counted_run_hk(x0, cfg, max_steps)
+    ref, ref_report = _reference_run_hk(x0, cfg, max_steps)
+    _assert_same(traj, ref)
+    assert report == ref_report and report.to_json() == ref_report.to_json()
+    changes, steps = _pattern_changes(traj, cfg.epsilon)
+    assert built == changes
+    return changes, steps
+
+
+def _truth_seeker_member(seed, n=64):
+    """An ensemble-shaped truth-seeker run: the first k agents aware and
+    within epsilon/4 of the truth, the rest in clusters 2(epsilon + 1) apart."""
+    rng = np.random.default_rng(seed)
+    eps, truth, k = float(rng.choice([0.5, 1.0])), float(rng.uniform(0.0, 5.0)), int(rng.integers(1, n // 3))
+    awareness = np.zeros(n)
+    awareness[:k] = rng.uniform(0.2, 0.9, k)
+    x0 = np.empty(n)
+    x0[:k] = truth + rng.uniform(-eps / 4, eps / 4, k)
+    groups = int(rng.integers(1, 4))
+    for i in range(n - k):
+        c = i % groups
+        x0[k + i] = truth + (1 if c % 2 == 0 else -1) * (c // 2 + 1) * (eps + 1.0) * 2 + rng.uniform(-eps / 5, eps / 5)
+    return x0, HkConfig(epsilon=eps, truth=truth, awareness=tuple(awareness.tolist()))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_run_hk_reuses_w_on_truth_seekers_with_the_loop_bits(seed):
+    x0, cfg = _truth_seeker_member(seed)
+    changes, steps = _assert_reuse_matches_every_step_build(x0, cfg, 4_000)
+    assert changes < steps  # some steps repeat their pattern
+
+
+@st.composite
+def _merging_hk_inputs(draw):
+    """A chain of agents less than epsilon apart, shuffled, so that groups
+    merge over several steps; optionally some agents aware of a truth."""
+    n = draw(st.integers(3, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eps = draw(st.floats(0.5, 2.0))
+    x0 = np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 1.0, n - 1) * eps)])
+    rng.shuffle(x0)
+    awareness = ()
+    if draw(st.booleans()):
+        awareness = tuple((rng.uniform(0.0, 0.5, n) * (rng.random(n) < 0.3)).tolist())
+    cfg = HkConfig(epsilon=eps, truth=draw(st.floats(-1.0, 5.0)), awareness=awareness)
+    return x0, cfg, draw(st.integers(1, 300))
+
+
+@settings(max_examples=150, deadline=None)
+@given(inp=_merging_hk_inputs())
+def test_run_hk_reuses_w_across_pattern_changes_with_the_loop_bits(inp):
+    changes, _ = _assert_reuse_matches_every_step_build(*inp)
+    assume(changes >= 3)  # the first pattern and at least two changes
 
 
 @st.composite

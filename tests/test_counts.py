@@ -1,7 +1,8 @@
-"""Counts (lengths, periods, delay bounds, node counts) have one check,
-``graphs._check_count``: an integer >= 0, a numpy integer included, and
-never a bool, a float or a string.  A wrong count raises ValueError where it
-is read, not a TypeError steps later, and is never truncated."""
+"""Counts (lengths, periods, window lengths and ends, delay bounds, node
+counts) have one check, ``graphs._check_count``: an integer >= 0, a numpy
+integer included, and never a bool, a float or a string.  A wrong count
+raises ValueError where it is read, not a TypeError steps later, and is
+never truncated."""
 
 import ast
 import json
@@ -19,6 +20,9 @@ from raikit import (
     MultiAgentProblem,
     SignedMatrixSequence,
     WeightedDigraph,
+    arc_count,
+    check_arc_balance,
+    check_reciprocity,
     check_uniform_cut_balance,
     flow_contraction_bound_delayed,
     gossip_sequence,
@@ -37,7 +41,7 @@ from raikit.matrices import RowStochasticMatrix
 from raikit.solvers import ConvexProjector
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "raikit"
-COUNT_NAMES = {"steps", "max_steps", "max_iters", "d_star", "period"}
+COUNT_NAMES = {"steps", "max_steps", "max_iters", "d_star", "period", "M", "T", "L", "k0", "k1"}
 HALF = np.full((2, 2), 0.5)
 
 
@@ -135,6 +139,12 @@ RUNS = {
     )),
     "xiao_stack": ("d_star", lambda c: xiao_stack(RowStochasticMatrix(n=2, entries=HALF), np.zeros((2, 2), int), c)),
     "DelaySpec.constant": ("d_star", lambda c: DelaySpec.constant(np.zeros((2, 2), int), d_star=c)),
+    "check_reciprocity M": ("M", lambda c: check_reciprocity(MatrixSequence.constant(HALF), c, 0)),
+    "check_reciprocity T": ("T", lambda c: check_reciprocity(MatrixSequence.constant(HALF), 1, c)),
+    "check_arc_balance": ("L", lambda c: check_arc_balance(MatrixSequence.constant(HALF), c)),
+    "check_uniform_cut_balance": ("L", lambda c: check_uniform_cut_balance(MatrixSequence.constant(HALF), c)),
+    "arc_count k0": ("k0", lambda c: arc_count(MatrixSequence.constant(HALF), [0], [1], c, 2)),
+    "arc_count k1": ("k1", lambda c: arc_count(MatrixSequence.constant(HALF), [0], [1], 0, c)),
 }
 
 

@@ -17,6 +17,8 @@ from raikit import (
     run_degroot,
     run_hk,
 )
+from raikit.opinions import ClusterReport, _cluster
+from raikit.tolerances import CLUSTER_TOL, CONSENSUS_TOL
 
 
 def test_hk_weights_strict_confidence_boundary():
@@ -85,6 +87,87 @@ def test_hk_induced_residuals_feasible():
         cfg = HkConfig(epsilon=0.8, truth=1.0, awareness=tuple(rng.random(6) * 0.5))
         traj, _ = run_hk(x0, cfg, 300)
         assert traj.feasibility_margin() >= -1e-12
+
+
+def _loop_cluster(final, truth, states, terminated_at):
+    """The per-agent loops ``_cluster`` replaced, kept as its oracle."""
+    n = final.shape[0]
+    order = np.argsort(final, kind="stable")
+    clusters = [[int(order[0])]]
+    for idx in order[1:]:
+        if final[idx] - final[clusters[-1][-1]] <= CLUSTER_TOL:
+            clusters[-1].append(int(idx))
+        else:
+            clusters.append([int(idx)])
+    values = tuple(float(np.mean(final[c])) for c in clusters)
+    if len(values) > 1:
+        min_gap = float(min(b - a for a, b in zip(values, values[1:])))
+    else:
+        min_gap = float("inf")
+    truth_cluster = tuple(i for i in range(n) if abs(final[i] - truth) < CONSENSUS_TOL)
+    tail = states[-max(1, (states.shape[0] + 3) // 4) :]
+    frozen = tuple(int(i) for i in range(n) if np.all(tail[:, i] == tail[-1, i]))
+    return ClusterReport(
+        clusters=tuple(tuple(sorted(c)) for c in clusters),
+        values=values,
+        min_gap=min_gap,
+        truth_cluster=truth_cluster,
+        frozen_agents=frozen,
+        terminated_at=terminated_at,
+    )
+
+
+def _assert_same_clusters(final, truth, states, terminated_at=None):
+    got = _cluster(final, truth, states, terminated_at)
+    want = _loop_cluster(final, truth, states, terminated_at)
+    assert got == want and got.to_json() == want.to_json()
+    for field in (got.clusters, (got.truth_cluster,), (got.frozen_agents,)):
+        assert all(type(i) is int for group in field for i in group)
+    assert all(type(v) is float for v in got.values)
+    return got
+
+
+# values on and off the tolerances: 0.0 and CLUSTER_TOL are exactly
+# CLUSTER_TOL apart, and -0.0 equals 0.0
+_EDGES = [0.0, -0.0, CLUSTER_TOL, 2 * CLUSTER_TOL, 0.5, 0.5 + CLUSTER_TOL, CONSENSUS_TOL, -CONSENSUS_TOL, 1.0]
+
+
+@st.composite
+def _cluster_inputs(draw):
+    n = draw(st.integers(1, 12))
+    value = st.one_of(st.sampled_from(_EDGES), st.floats(-3.0, 3.0))
+    final = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 12))
+    states = np.tile(final, (rows, 1))
+    states[rng.random((rows, n)) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))] += 1.0
+    states[-1] = final
+    return final, draw(st.sampled_from(_EDGES + [2.0])), states
+
+
+@settings(max_examples=300, deadline=None)
+@given(inp=_cluster_inputs())
+def test_cluster_matches_its_per_agent_loops(inp):
+    _assert_same_clusters(*inp)
+
+
+def test_cluster_gap_exactly_at_the_tolerance_links():
+    final = np.array([CLUSTER_TOL, 0.0, 1.0])
+    assert final[0] - final[1] == CLUSTER_TOL
+    report = _assert_same_clusters(final, 0.0, final[None, :])
+    assert report.clusters == ((0, 1), (2,))
+    apart = np.array([np.nextafter(CLUSTER_TOL, 1.0), 0.0])
+    assert _assert_same_clusters(apart, 0.0, apart[None, :]).clusters == ((1,), (0,))
+
+
+def test_cluster_single_cluster_and_all_or_no_agent_frozen():
+    final = np.array([0.25, 0.25, 0.25 + CONSENSUS_TOL / 2])
+    frozen = _assert_same_clusters(final, 0.25, np.tile(final, (8, 1)), 7)
+    assert frozen.clusters == ((0, 1, 2),) and frozen.min_gap == float("inf")
+    assert frozen.frozen_agents == (0, 1, 2) and frozen.truth_cluster == (0, 1, 2)
+    moving = np.tile(final, (8, 1))
+    moving[-2] += 1.0  # inside the last quarter of the 8 rows
+    assert _assert_same_clusters(final, 5.0, moving).frozen_agents == ()
 
 
 def test_empty_initial_vector_is_rejected():
