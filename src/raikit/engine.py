@@ -18,13 +18,15 @@ sequence), and every product is one of raikit.products.  A silent step,
 whose W(k) is exactly the identity, needs no product: the identity
 product is x + 0.0 bitwise, so run_rai has ``_iterate`` advance each
 maximal stretch of silent steps with one sequential subtraction of its
-disturbances.
+disturbances.  A run's row extremes M and m are read along the steps axis,
+in bounded blocks, and a vanishing policy's decay factors come from one
+kept table, so the seeds of an ensemble compute them once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -61,6 +63,7 @@ __all__ = [
 
 
 _CSV_BLOCK_ROWS = 256  # rows per string of Trajectory.csv_blocks: about 60 KB of text at n = 4
+_EXTREMES_BLOCK = 2**14  # entries per transposed block of _extremes: 128 KiB
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -232,7 +235,9 @@ class DisturbancePolicy:
         """delta(0), ..., delta(steps-1) as a (steps, n) block.  One block
         draw takes the same generator bits as one draw of n per step, and
         each decay factor is the scalar scale * decay**k <= scale, so every
-        entry is finite and >= 0."""
+        entry is finite and >= 0.  The powers decay**k come from the kept
+        table of ``_decay_powers``; each draw multiplies them by its own
+        scale, which keeps the sign of a zero scale."""
         if self.kind == "zero":
             return np.zeros((steps, n))
         if self.kind == "adversarial_replay":
@@ -242,12 +247,44 @@ class DisturbancePolicy:
             return table[np.arange(steps) % len(table)]
         block = np.random.default_rng(self.seed).random((steps, n))
         if self.kind == "vanishing_random":
-            # pow(decay, k) is decay**k, and the products by scale are one array pass.
-            powers = np.fromiter(map(pow, repeat(self.decay), range(steps)), float, steps)
-            block *= (powers * self.scale)[:, None]
+            block *= (_decay_powers(self.decay, steps) * self.scale)[:, None]
         else:
             block *= self.scale
         return block
+
+
+@lru_cache(maxsize=1, typed=True)
+def _decay_powers(decay: float, steps: int) -> np.ndarray:
+    """pow(decay, k) for k < steps, read-only.  Python's scalar power, as
+    decay ** np.arange differs in the last bit; each power is taken in the
+    decay's own type, which is part of the key.  Only the last table asked
+    for is kept: the seeds of an ensemble share one (decay, steps)."""
+    powers = np.fromiter(map(pow, repeat(decay), range(steps)), float, steps)
+    powers.setflags(write=False)
+    return powers
+
+
+def _extremes(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row max and min of ``states``, bit for bit states.max(axis=1)
+    and states.min(axis=1).  The row reduce pays a fixed cost per row, so
+    each block of rows is copied transposed into one buffer of at most
+    _EXTREMES_BLOCK entries and reduced along the steps axis.  Both forms
+    propagate NaN and return the same value; a tie of -0.0 and 0.0 may
+    keep either, so each row whose extreme is 0.0 is read again with the
+    row reduce."""
+    rows, n = states.shape
+    M, m = np.empty(rows), np.empty(rows)
+    span = max(1, _EXTREMES_BLOCK // n)
+    buffer = np.empty((n, min(span, rows)))
+    for a in range(0, rows, span):
+        block, columns = states[a : a + span], buffer[:, : min(span, rows - a)]
+        np.copyto(columns, block.T)
+        for out, reduce in ((M[a : a + span], np.max), (m[a : a + span], np.min)):
+            reduce(columns, axis=0, out=out)
+            zero = out == 0.0
+            if zero.any():
+                out[zero] = reduce(block[zero], axis=1)
+    return M, m
 
 
 def _check_x0(x0, n: int | None, what: str = "initial vector") -> np.ndarray:
@@ -274,6 +311,8 @@ def _iterate(
     run and the step that ended it, or None.  A non-finite state has no
     verdict and raises ValueError naming its first step; the row max and
     min propagate NaN and infinity, so those two vectors cover every entry.
+    They are read along the steps axis by ``_extremes``, with the row
+    reduce's bits and no (steps, n) temporary.
 
     ``silent`` yields, in order, the maximal stretches (k, span) of steps
     k .. k+span-1 whose W is the identity; ``residuals`` must then hold
@@ -316,8 +355,7 @@ def _iterate(
             if k + 1 < rows:
                 states, residuals = states[: k + 2].copy(), residuals[: k + 1].copy()
             break
-    M = states.max(axis=1)
-    m = states.min(axis=1)
+    M, m = _extremes(states)
     finite = np.isfinite(M) & np.isfinite(m)
     if not finite.all():
         raise ValueError(f"state became non-finite at step {int(np.argmin(finite))}")

@@ -309,6 +309,7 @@ def recover_structural_balance(seq: SignedMatrixSequence, horizon: int) -> Struc
     iff some v reaches v + n.  The gauge is canonicalized per connected
     component by setting its smallest-index node to +1 (so a connected
     pattern is pinned by d_0 = +1); unconstrained nodes default to +1."""
+    _check_count("horizon", horizon)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     n, p = seq.n, seq.period

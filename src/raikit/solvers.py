@@ -390,6 +390,7 @@ def paracontraction_audit(p, samples: int, seed: int = 0) -> AuditReport:
     satisfy ||M(xi) - xi0|| < ||xi - xi0||; shortfalls beyond fp_tol count
     as violations, and worst_margin is the smallest observed decrease
     (negative means some sample moved away)."""
+    _check_count("samples", samples)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     xi0 = np.zeros(p.dimension)

@@ -6,6 +6,7 @@ input the same exception type."""
 
 import tracemalloc
 import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,7 +31,15 @@ from raikit import (
     run_hk,
     run_rai,
 )
-from raikit.engine import _CSV_BLOCK_ROWS, _iterate, _silent_stretches, _stack
+from raikit.engine import (
+    _CSV_BLOCK_ROWS,
+    _EXTREMES_BLOCK,
+    _decay_powers,
+    _extremes,
+    _iterate,
+    _silent_stretches,
+    _stack,
+)
 from raikit.opinions import _cluster
 from raikit.tolerances import ENTRY_FLUSH, FEAS_TOL, ROW_SUM_TOL
 
@@ -539,6 +548,72 @@ def test_long_silent_run_is_advanced_in_place():
     assert peak < min(own + 2**20, 20 * 2**20), f"the run peaked at {peak / 2**20:.2f} MiB"
 
 
+def test_long_vanishing_run_keeps_one_decay_table():
+    # The silent run above with drawn disturbances: its own arrays, the one
+    # kept table of decay factors, and no more than 1 MiB besides.
+    seq = MatrixSequence.constant(np.eye(4))
+    policy = DisturbancePolicy.vanishing_random(1e-3, 0.999, seed=1)
+    _decay_powers.cache_clear()
+    tracemalloc.start()
+    try:
+        traj = run_rai(seq, [1.0, -0.0, 0.5, 2.0], policy, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = sum(a.nbytes for a in (traj.states, traj.residuals, traj.M, traj.m, traj.d))
+    table = _decay_powers(0.999, 200_000).nbytes
+    assert traj.steps == 200_000 and own > 16 * 2**20 and table == 200_000 * 8
+    assert peak < own + table + 2**20, f"the run peaked at {peak / 2**20:.2f} MiB"
+
+
+def _assert_row_extremes(states):
+    M, m = _extremes(states)
+    assert M.tobytes() == states.max(axis=1).tobytes()
+    assert m.tobytes() == states.min(axis=1).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 71))
+def test_extremes_are_the_row_reduce_bits(n):
+    """Lengths on either side of the block boundaries, rows of both signed
+    zeros (a tie either reduction may break its own way), and rows holding
+    infinities and NaN."""
+    rng = np.random.default_rng(n)
+    span = max(1, _EXTREMES_BLOCK // n)
+    for rows in sorted({1, 2, span - 1, span, span + 1, 2 * span + 1}):
+        states = rng.standard_normal((rows, n))
+        states[rng.random((rows, n)) < 0.3] = 0.0
+        states[rng.random((rows, n)) < 0.3] = -0.0
+        _assert_row_extremes(states)
+        _assert_row_extremes(-states)
+        states[rng.random((rows, n)) < 0.05] = rng.choice([np.inf, -np.inf, np.nan])
+        _assert_row_extremes(states)
+
+
+@pytest.mark.parametrize("n", [4, 8, 64])
+def test_extremes_of_rows_of_both_signed_zeros(n):
+    rng = np.random.default_rng(n)
+    zeros = np.where(rng.random((3 * _EXTREMES_BLOCK // n, n)) < 0.5, 0.0, -0.0)
+    zeros[::3, 0] = 0.0
+    zeros[::3, -1] = -0.0
+    _assert_row_extremes(zeros)
+    below = zeros - (rng.random(zeros.shape) < 0.2)  # a zero max over negative entries
+    _assert_row_extremes(below)
+    _assert_row_extremes(-below)
+
+
+def test_a_run_from_mixed_signed_zeros_keeps_the_row_reduce_bits():
+    x0 = np.array([0.0, -0.0, -0.0, 0.0, -0.0, 0.0, 0.0, -0.0])
+
+    def step(k, x, r, out):  # swaps neighbours, so every state keeps both zeros
+        out[:] = x.reshape(-1, 2)[:, ::-1].ravel()
+
+    traj, stop = _iterate(x0, 50, np.zeros((50, 8)), step)
+    signs = np.signbit(traj.states)
+    assert stop is None and not traj.states.any() and signs.any(axis=1).all() and not signs.all(axis=1).any()
+    assert traj.M.tobytes() == traj.states.max(axis=1).tobytes()
+    assert traj.m.tobytes() == traj.states.min(axis=1).tobytes()
+
+
 @st.composite
 def _hk_inputs(draw):
     """x0 spread wide or narrow (rounded for exact ties), epsilon, truth and
@@ -855,6 +930,64 @@ def test_vectorized_decay_powers_differ_from_scalar_powers():
     policy = DisturbancePolicy.vanishing_random(1.0, decay, seed=3)
     uniform = np.random.default_rng(3).random((steps, 2))
     assert np.array_equal(policy.draw(2, steps), scalar[:, None] * uniform)
+
+
+def test_draws_with_the_kept_decay_table_equal_scalar_draws():
+    """Interleaved (decay, steps) pairs miss and hit the one kept table, and
+    every draw equals the per-step scale * decay**k * u."""
+    _decay_powers.cache_clear()
+    pairs = [(0.999, 300), (0.9, 50), (0.9, 50), (0.999, 300), (0.999, 301), (0.5, 300), (0.999, 300)]
+    for i, (decay, steps) in enumerate(pairs):
+        before = _decay_powers.cache_info()
+        policy = DisturbancePolicy.vanishing_random(0.25 * (i + 1), decay, seed=i)
+        emit = _reference_emitter(policy, 3)
+        want = np.array([emit(k) for k in range(steps)])
+        assert policy.draw(3, steps).tobytes() == want.tobytes()
+        after = _decay_powers.cache_info()
+        hit = i > 0 and pairs[i - 1] == (decay, steps)
+        assert (after.hits - before.hits, after.misses - before.misses) == ((1, 0) if hit else (0, 1))
+        assert after.currsize <= 1
+
+
+def test_a_zero_scale_keeps_its_sign_through_the_kept_table():
+    plus = DisturbancePolicy.vanishing_random(0.0, 0.9, seed=4).draw(3, 40)
+    minus = DisturbancePolicy.vanishing_random(-0.0, 0.9, seed=4).draw(3, 40)  # the same table
+    assert not np.signbit(plus).any() and np.signbit(minus).all()
+    assert not np.signbit(DisturbancePolicy.vanishing_random(0.0, 0.9, seed=4).draw(3, 40)).any()
+
+
+def test_a_numpy_decay_draws_the_bits_of_a_float_decay():
+    _decay_powers.cache_clear()
+    numpy_draw = DisturbancePolicy.vanishing_random(1e-3, np.float64(0.999), seed=2).draw(4, 2000)
+    _decay_powers.cache_clear()
+    float_draw = DisturbancePolicy.vanishing_random(1e-3, 0.999, seed=2).draw(4, 2000)
+    assert numpy_draw.tobytes() == float_draw.tobytes()
+    powers = _decay_powers(0.999, 2000)
+    assert powers.tobytes() == np.array([0.999**k for k in range(2000)]).tobytes()
+
+
+@pytest.mark.parametrize("decay", [np.float32(0.999), Fraction(999, 1000)], ids=["float32", "Fraction"])
+def test_a_decay_of_another_type_keeps_its_own_powers(decay):
+    """Each power is taken in the decay's own type, as before the table was
+    kept: float32 powers, or exact rational ones rounded once.  A float
+    decay of equal value is another key and keeps its float64 powers."""
+    uniform = np.random.default_rng(2).random((300, 4))
+    own = np.array([float(decay**k) for k in range(300)])
+    assert not np.array_equal(own, np.array([0.999**k for k in range(300)]))
+    for d in (0.999, decay, 0.999, decay):
+        want = (own if d is decay else np.array([0.999**k for k in range(300)])) * 1e-3
+        draw = DisturbancePolicy.vanishing_random(1e-3, d, seed=2).draw(4, 300)
+        assert draw.tobytes() == (uniform * want[:, None]).tobytes()
+
+
+def test_the_kept_decay_table_is_read_only_and_single():
+    DisturbancePolicy.vanishing_random(1.0, 0.7, seed=0).draw(2, 10)
+    table = _decay_powers(0.7, 10)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 2.0
+    DisturbancePolicy.vanishing_random(1.0, 0.8, seed=0).draw(2, 10)
+    assert _decay_powers.cache_info().currsize == 1 and _decay_powers.cache_info().maxsize == 1
 
 
 def test_bad_policy_values_are_named_at_construction():

@@ -21,6 +21,7 @@ from raikit import (
     SignedMatrixSequence,
     WeightedDigraph,
     arc_count,
+    paracontraction_audit,
     check_arc_balance,
     check_reciprocity,
     check_uniform_cut_balance,
@@ -29,6 +30,7 @@ from raikit import (
     graph_from_edgelist,
     graph_from_json,
     persistent_graph,
+    recover_structural_balance,
     run_altafini,
     run_delayed_rai,
     run_hk,
@@ -41,7 +43,9 @@ from raikit.matrices import RowStochasticMatrix
 from raikit.solvers import ConvexProjector
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "raikit"
-COUNT_NAMES = {"steps", "max_steps", "max_iters", "d_star", "period", "M", "T", "L", "k0", "k1"}
+COUNT_NAMES = {
+    "steps", "max_steps", "max_iters", "d_star", "period", "M", "T", "L", "k0", "k1", "horizon", "samples",
+}
 HALF = np.full((2, 2), 0.5)
 
 
@@ -145,6 +149,12 @@ RUNS = {
     "check_uniform_cut_balance": ("L", lambda c: check_uniform_cut_balance(MatrixSequence.constant(HALF), c)),
     "arc_count k0": ("k0", lambda c: arc_count(MatrixSequence.constant(HALF), [0], [1], c, 2)),
     "arc_count k1": ("k1", lambda c: arc_count(MatrixSequence.constant(HALF), [0], [1], 0, c)),
+    "recover_structural_balance": ("horizon", lambda c: recover_structural_balance(
+        SignedMatrixSequence.constant(HALF), c
+    )),
+    "paracontraction_audit": ("samples", lambda c: paracontraction_audit(
+        ConvexProjector.hyperplane(np.array([1.0, 0.0]), 1.0), c
+    )),
 }
 
 
