@@ -382,7 +382,7 @@ def run_scenario(
                 verdict_body, code, artifacts = _RUNNERS[scenario["kind"]](
                     scenario["parameters"], eff_seed
                 )
-        except (ValueError, KeyError, TypeError) as e:
+        except (ValueError, KeyError, TypeError, MemoryError) as e:
             raise ScenarioError("validation", str(e)) from e
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Container, Iterable, Iterator
@@ -254,14 +255,19 @@ class SccDecomposition(ArrayFields):
 
     def source_components(self) -> list[int]:
         """Indices of components with condensation in-degree 0."""
-        return [
-            c
-            for c in range(len(self.components))
-            if self.classification[c] in ("source", "isolated")
-        ]
+        return [c for c, role in enumerate(self.classification) if role in ("source", "isolated")]
 
     def all_isolated(self) -> bool:
         return all(cl == "isolated" for cl in self.classification)
+
+
+# A component's role by (condensation in-degree 0, out-degree 0).
+_ROLES = {
+    (True, True): "isolated",
+    (True, False): "source",
+    (False, True): "sink",
+    (False, False): "internal",
+}
 
 
 def strong_components(g: WeightedDigraph) -> SccDecomposition:
@@ -272,83 +278,61 @@ def strong_components(g: WeightedDigraph) -> SccDecomposition:
     """
     n = g.n
     succ = [g.out_neighbors(v).tolist() for v in range(n)]
-
     index = [-1] * n
     lowlink = [0] * n
-    on_stack = [False] * n
+    comp_of = [-1] * n  # still -1 for a visited node: it is on the stack
     stack: list[int] = []
-    comp_of = [-1] * n
     components: list[frozenset[int]] = []
+    frames: list[tuple[int, Iterator[int]]] = []  # open nodes, each with its unread arcs
     counter = 0
+
+    def visit(v: int) -> None:
+        nonlocal counter
+        index[v] = lowlink[v] = counter
+        counter += 1
+        stack.append(v)
+        frames.append((v, iter(succ[v])))
 
     # Iterative Tarjan; explicit frames avoid recursion limits.
     for root in range(n):
-        if index[root] != -1:
-            continue
-        frames: list[tuple[int, int]] = [(root, 0)]
+        if index[root] == -1:
+            visit(root)
         while frames:
-            v, pi = frames.pop()
-            if pi == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while pi < len(succ[v]):
-                w = succ[v][pi]
-                pi += 1
+            v, arcs = frames[-1]
+            for w in arcs:
                 if index[w] == -1:
-                    frames.append((v, pi))
-                    frames.append((w, 0))
-                    advanced = True
+                    visit(w)
                     break
-                if on_stack[w]:
+                if comp_of[w] == -1:
                     lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            if lowlink[v] == index[v]:
-                comp: list[int] = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp_of[w] = len(components)
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(frozenset(comp))
-            if frames:
-                parent, _ = frames[-1]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
+            else:
+                frames.pop()
+                if lowlink[v] == index[v]:
+                    # the stack is in visit order; v and all above it form v's component
+                    top = bisect_left(stack, index[v], key=index.__getitem__)
+                    members, stack[top:] = stack[top:], []
+                    for w in members:
+                        comp_of[w] = len(components)
+                    components.append(frozenset(members))
+                if frames:
+                    parent = frames[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[v])
 
     m = len(components)
     cond = np.zeros((m, m))
     ii, jj = np.nonzero(g.weights)
-    for i, j in zip(ii, jj):
-        ci, cj = comp_of[int(i)], comp_of[int(j)]
-        if ci != cj:
-            cond[ci][cj] = 1.0  # component cj influences component ci
+    comp = np.array(comp_of)
+    cond[comp[ii], comp[jj]] = 1.0  # component comp[jj] influences component comp[ii]
+    np.fill_diagonal(cond, 0.0)
 
-    indeg = (cond != 0).sum(axis=1)
-    outdeg = (cond != 0).sum(axis=0)
-    classification = []
-    for c in range(m):
-        src, snk = indeg[c] == 0, outdeg[c] == 0
-        if src and snk:
-            classification.append("isolated")
-        elif src:
-            classification.append("source")
-        elif snk:
-            classification.append("sink")
-        else:
-            classification.append("internal")
-
-    n_sources = int(sum(1 for c in range(m) if indeg[c] == 0))
+    sources = ~cond.any(axis=1)  # condensation in-degree 0
+    sinks = ~cond.any(axis=0)  # out-degree 0
     return SccDecomposition(
         components=tuple(components),
         condensation=WeightedDigraph(n=m, weights=cond),
-        classification=tuple(classification),
+        classification=tuple(_ROLES[s, t] for s, t in zip(sources.tolist(), sinks.tolist())),
         is_strong=(m == 1),
-        is_quasi_strong=(n_sources == 1),
+        is_quasi_strong=(int(sources.sum()) == 1),
     )
 
 
@@ -517,6 +501,12 @@ def _cut_constant(w: np.ndarray) -> float | None:
     # would also give exactly 1.0, with identical operands.
     if (w == w.T).all():
         return 1.0
+    with np.errstate(over="ignore"):
+        overflows = not np.isfinite(w.sum())
+    if overflows:
+        # No ratio depends on the scale, and 2^k > n^2 bounds every flow
+        # below the largest double.
+        w = np.ldexp(w, -(n * n).bit_length())
     wt = np.ascontiguousarray(w.T)
     # Masks from `half` on are the complements of the masks below it, whose
     # ratios are the reciprocals: half the cuts suffice.

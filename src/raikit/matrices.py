@@ -219,33 +219,11 @@ def _stationary_vector(W: np.ndarray) -> np.ndarray:
 
 
 def is_primitive(W: RowStochasticMatrix) -> bool:
-    """True iff the influence graph is strongly connected and aperiodic.
-
-    The graph criterion is cross-checked against direct boolean powering:
-    some power of the adjacency pattern with exponent at most
-    n^2 - 2n + 2 must be entrywise positive exactly when the criterion
-    holds.  A disagreement would be an internal error and raises."""
+    """True iff the influence graph is strongly connected and aperiodic:
+    some power of W is entrywise positive exactly then."""
     g = W.graph()
     dec = strong_components(g)
-    criterion = False
-    if dec.is_strong:
-        criterion = is_aperiodic(g, dec.components[0])
-
-    n = W.n
-    bound = n * n - 2 * n + 2
-    B = (W.entries > 0)
-    P = B.copy()
-    powered = bool(P.all())
-    k = 1
-    while not powered and k < bound:
-        P = product(n)(P, B) > 0
-        k += 1
-        powered = bool(P.all())
-    if powered != criterion:
-        raise RuntimeError(
-            "primitivity cross-check failed: graph criterion and matrix powering disagree"
-        )
-    return criterion
+    return dec.is_strong and is_aperiodic(g, dec.components[0])
 
 
 def spectral_radius(A: SubstochasticMatrix) -> float:

@@ -333,7 +333,8 @@ def check_reciprocity(seq: MatrixSequence, M: int, T: int) -> ReciprocityReport:
         heard, t, size = seen.copy(), k0, None
         for k1 in range(k0, k1_stop + 1):
             seen |= active[k1 % span]
-            while t <= k1 + T:
+            # past one period of responses, heard cannot grow
+            while t <= (k1 + T if p == 0 else min(k1 + T, k1_stop)):
                 heard |= active[t % span]
                 t += 1
             last, size = size, (int(seen.sum()), int(heard.sum()))

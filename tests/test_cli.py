@@ -4,6 +4,7 @@ import ast
 import json
 import os
 import subprocess
+import resource
 import sys
 from pathlib import Path
 
@@ -473,3 +474,32 @@ def test_empty_explicit_sequence_exit_two(tmp_path, capsys, kind, parameters):
     assert run_scenario(_write(tmp_path, sc), out_dir=tmp_path) == 2
     assert capsys.readouterr().err == "error: validation: explicit sequence must be nonempty\n"
     assert not (tmp_path / "empty.verdict.json").exists()
+
+
+def test_analyze_graph_constant_of_overflowing_cut_flows(tmp_path):
+    """Every cut flow of this graph overflows a double; C is 2.0 exactly."""
+    sc = {
+        "schema_version": SCHEMA_VERSION,
+        "name": "huge_flows",
+        "kind": "analyze_graph",
+        "parameters": {
+            "graph": {"n": 3, "weights": [[0, 1e308, 1e308], [1e308, 0, 0.5], [1e308, 1e308, 0]]}
+        },
+    }
+    assert main(["--out-dir", str(tmp_path), "analyze", _write(tmp_path, sc)]) == 0
+    v = json.loads((tmp_path / "huge_flows.verdict.json").read_text())
+    assert v["cut_balance"] == {"balanced": True, "constant_C": 2.0, "witness_cut": None}
+
+
+def test_run_too_large_to_allocate_exit_two(tmp_path, capsys):
+    """10^15 steps need petabytes of states: the allocation fails at once,
+    before anything is allocated, and ends in a validation error."""
+    sc = _rai_scenario(name="huge", steps=10**15)
+    sc["parameters"]["policy"] = {"kind": "zero"}
+    ref = _write(tmp_path, sc)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    assert main(["--out-dir", str(tmp_path), "simulate", ref]) == 2
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before < 50 * 1024
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation: Unable to allocate ") and err.count("\n") == 1
+    assert not (tmp_path / "huge.verdict.json").exists()

@@ -112,6 +112,109 @@ def test_condensation_is_acyclic_and_partitions(bits, n):
     assert not R.diagonal().any()
 
 
+def _frame_machine_components(g):
+    """The earlier Tarjan: (v, pi) frames resumed by successor position,
+    with an on-stack flag, a loop over arcs for the condensation and an
+    if-chain for the roles.  Kept as the oracle of the iterator-driven DFS."""
+    n = g.n
+    succ = [g.out_neighbors(v).tolist() for v in range(n)]
+    index, lowlink, on_stack = [-1] * n, [0] * n, [False] * n
+    stack, comp_of, components, counter = [], [-1] * n, [], 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        frames = [(root, 0)]
+        while frames:
+            v, pi = frames.pop()
+            if pi == 0:
+                index[v] = lowlink[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            while pi < len(succ[v]):
+                w = succ[v][pi]
+                pi += 1
+                if index[w] == -1:
+                    frames.append((v, pi))
+                    frames.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    lowlink[v] = min(lowlink[v], index[w])
+            if advanced:
+                continue
+            if lowlink[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp_of[w] = len(components)
+                    comp.append(w)
+                    if w == v:
+                        break
+                components.append(frozenset(comp))
+            if frames:
+                parent, _ = frames[-1]
+                lowlink[parent] = min(lowlink[parent], lowlink[v])
+    m = len(components)
+    cond = np.zeros((m, m))
+    ii, jj = np.nonzero(g.weights)
+    for i, j in zip(ii, jj):
+        ci, cj = comp_of[int(i)], comp_of[int(j)]
+        if ci != cj:
+            cond[ci][cj] = 1.0
+    indeg, outdeg = (cond != 0).sum(axis=1), (cond != 0).sum(axis=0)
+    classification = []
+    for c in range(m):
+        src, snk = indeg[c] == 0, outdeg[c] == 0
+        if src and snk:
+            classification.append("isolated")
+        elif src:
+            classification.append("source")
+        elif snk:
+            classification.append("sink")
+        else:
+            classification.append("internal")
+    n_sources = int(sum(1 for c in range(m) if indeg[c] == 0))
+    return tuple(components), cond, tuple(classification), m == 1, n_sources == 1
+
+
+def _assert_same_as_frame_machine(g):
+    components, cond, classification, is_strong, is_quasi_strong = _frame_machine_components(g)
+    dec = strong_components(g)
+    assert dec.components == components  # the same components in the same order
+    assert dec.condensation.weights.shape == cond.shape
+    assert dec.condensation.weights.tobytes() == cond.tobytes()
+    assert dec.classification == classification
+    assert dec.is_strong is is_strong
+    assert dec.is_quasi_strong is is_quasi_strong
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**64 - 1))
+def test_components_match_the_frame_machine_on_bit_patterns(n, bits):
+    w = np.array([[(bits >> (i * n + j)) & 1 for j in range(n)] for i in range(n)], dtype=float)
+    _assert_same_as_frame_machine(WeightedDigraph(n=n, weights=w))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_components_match_the_frame_machine_on_weighted_graphs(seed):
+    rng = np.random.default_rng([26, seed])
+    for density in (0.0, 0.02, 0.05, 0.1, 0.2, 0.5, 0.9, 1.0):
+        n = int(rng.integers(1, 41))
+        w = rng.normal(size=(n, n)) * (rng.random((n, n)) < density)
+        _assert_same_as_frame_machine(WeightedDigraph(n=n, weights=w))
+
+
+def test_components_of_a_long_path_need_no_recursion():
+    n = 3000  # far deeper than the default recursion limit
+    w = np.eye(n, k=-1)  # arcs j -> j + 1
+    dec = strong_components(WeightedDigraph(n=n, weights=w))
+    assert dec.components == tuple(frozenset([v]) for v in reversed(range(n)))
+    assert dec.classification == ("sink",) + ("internal",) * (n - 2) + ("source",)
+
+
 def test_quasi_strong_iff_spanning_root():
     rng = np.random.default_rng(5)
     for _ in range(40):
@@ -208,6 +311,15 @@ def test_certificate_symmetric_balanced_with_unit_constant():
     assert cert.balanced
     assert cert.constant_C == pytest.approx(1.0)
     assert cert.witness_cut is None
+
+
+def test_certificate_constant_of_overflowing_cut_flows():
+    """Cut flows above the largest double are scaled by a power of two
+    first; C does not depend on the scale."""
+    w = np.array([[0, 1e308, 1e308], [1e308, 0, 0.5], [1e308, 1e308, 0]])
+    for scale in (0, -10):
+        cert = cut_balance_certificate(WeightedDigraph(n=3, weights=np.ldexp(w, scale)))
+        assert cert.balanced and cert.constant_C == 2.0
 
 
 def test_certificate_witness_separates_source():

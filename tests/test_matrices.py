@@ -1,10 +1,13 @@
 """Stochastic and substochastic matrix verdicts against dense eigen-oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import raikit.matrices
 from raikit import (
     RowStochasticMatrix,
     SubstochasticMatrix,
@@ -120,8 +123,59 @@ def test_primitivity_examples():
     lazy = 0.5 * np.eye(4) + 0.5 * np.roll(np.eye(4), 1, axis=1)
     W = RowStochasticMatrix(n=4, entries=lazy)
     assert is_primitive(W)
-    assert (np.linalg.matrix_power(lazy, 3) > 0).all() is not np.True_ or True
+    assert not (np.linalg.matrix_power(lazy, 2) > 0).all()
+    assert (np.linalg.matrix_power(lazy, 3) > 0).all()
     assert (np.linalg.matrix_power(lazy, 4) > 0).all()
+
+
+def _positive_power(W):
+    """Boolean powering: some power of the pattern of W up to the exponent
+    n^2 - 2n + 2 (Wielandt) is entrywise positive."""
+    n = W.n
+    B = (W.entries > 0).astype(int)
+    P = B.copy()
+    for _ in range(n * n - 2 * n + 1):
+        if P.all():
+            return True
+        P = np.minimum(P @ B, 1)
+    return bool(P.all())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2**100 - 1))
+def test_primitivity_matches_boolean_powering(n, bits):
+    pattern = np.array([[(bits >> (i * n + j)) & 1 for j in range(n)] for i in range(n)], dtype=float)
+    empty = ~pattern.any(axis=1)
+    pattern[empty, (np.flatnonzero(empty) + 1) % n] = 1.0  # every row needs an entry
+    W = RowStochasticMatrix(n=n, entries=pattern / pattern.sum(axis=1, keepdims=True))
+    assert is_primitive(W) is _positive_power(W)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_primitivity_of_cycles_with_one_chord_matches_boolean_powering(n):
+    """The n-cycle (j = -1) is primitive only at n = 1; a chord j -> 0 adds
+    a cycle of length (n - j) % n + 1, primitive iff coprime to n."""
+    answers = set()
+    for j in range(-1, n):
+        pattern = np.roll(np.eye(n), 1, axis=1)  # arcs i + 1 -> i
+        if j >= 0:
+            pattern[0, j] = 1.0
+        W = RowStochasticMatrix(n=n, entries=pattern / pattern.sum(axis=1, keepdims=True))
+        primitive = n == 1 if j < 0 else math.gcd(n, (n - j) % n + 1) == 1
+        assert is_primitive(W) is _positive_power(W) is primitive
+        answers.add(primitive)
+    assert answers == ({True} if n == 1 else {True, False})
+
+
+def test_primitivity_forms_no_product(monkeypatch):
+    def no_product(*args):
+        raise AssertionError("is_primitive formed a product")
+
+    monkeypatch.setattr(raikit.matrices, "product", no_product)
+    ring = RowStochasticMatrix(n=64, entries=np.roll(np.eye(64), 1, axis=1))
+    assert not is_primitive(ring)
+    lazy = RowStochasticMatrix(n=64, entries=0.5 * ring.entries + 0.5 * np.eye(64))
+    assert is_primitive(lazy)
 
 
 def test_spectral_radius_cases():

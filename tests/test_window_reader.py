@@ -4,6 +4,7 @@ flow of ``flow_contraction_bound``, bit for bit against the per-step
 ``seq.matrix(k)`` loops they replaced (kept here as reference oracles);
 past-the-end windows; and the lookup path that every reader goes through."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -241,6 +242,22 @@ def test_reciprocity_matches_the_step_loop(kind, seed):
         for T in (0, 1, 2):
             want = _reference_check_reciprocity(seq, M, T)
             assert check_reciprocity(seq, M, T).to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("kind, seed", [case for case in CASES if case[0].endswith("periodic")])
+def test_periodic_reciprocity_reads_one_period_of_responses(kind, seed):
+    """Past one period a response window holds no new arc: every T up to
+    p + 2 matches the step loop, and T = 10^15 returns at once with the
+    report of T = p."""
+    seq = _sequence(kind, seed)
+    p = seq.period
+    for M in (1, 2, 3):
+        for T in range(p + 3):
+            want = _reference_check_reciprocity(seq, M, T)
+            assert check_reciprocity(seq, M, T).to_json() == want.to_json()
+        huge = check_reciprocity(seq, M, 10**15)
+        assert huge.T == 10**15
+        assert dataclasses.replace(huge, T=p) == check_reciprocity(seq, M, p)
 
 
 @pytest.mark.parametrize("kind, seed", CASES)
