@@ -277,7 +277,10 @@ def strong_components(g: WeightedDigraph) -> SccDecomposition:
     the condensation carries 0/1 weights and is acyclic with no self-arcs.
     """
     n = g.n
-    succ = [g.out_neighbors(v).tolist() for v in range(n)]
+    tails, heads = np.nonzero(g.weights.T)  # arcs j -> i by increasing j, then i
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for j, i in zip(tails.tolist(), heads.tolist()):
+        succ[j].append(i)
     index = [-1] * n
     lowlink = [0] * n
     comp_of = [-1] * n  # still -1 for a visited node: it is on the stack
@@ -320,9 +323,8 @@ def strong_components(g: WeightedDigraph) -> SccDecomposition:
 
     m = len(components)
     cond = np.zeros((m, m))
-    ii, jj = np.nonzero(g.weights)
     comp = np.array(comp_of)
-    cond[comp[ii], comp[jj]] = 1.0  # component comp[jj] influences component comp[ii]
+    cond[comp[heads], comp[tails]] = 1.0  # component comp[tail] influences component comp[head]
     np.fill_diagonal(cond, 0.0)
 
     sources = ~cond.any(axis=1)  # condensation in-degree 0
@@ -493,7 +495,8 @@ def _unbalanced_cut(g: WeightedDigraph) -> Cut | None:
 
 def _cut_constant(w: np.ndarray) -> float | None:
     """Largest flow ratio over all cuts of the cut-balanced weights ``w``,
-    1.0 when no arc crosses any cut, None above the enumeration limit."""
+    1.0 when no arc crosses any cut, None above the enumeration limit; a
+    ratio past the largest double raises ValueError."""
     n = len(w)
     if n > CUT_ENUMERATION_LIMIT:
         return None
@@ -520,7 +523,10 @@ def _cut_constant(w: np.ndarray) -> float | None:
         both = f_ji > 0  # and so f_ij > 0: the graph is balanced
         if both.any():
             f_ij, f_ji = f_ij[both], f_ji[both]
-            constant = max(constant, float((f_ij / f_ji).max()), float((f_ji / f_ij).max()))
+            with np.errstate(over="ignore", divide="ignore"):
+                constant = max(constant, float((f_ij / f_ji).max()), float((f_ji / f_ij).max()))
+    if not math.isfinite(constant):
+        raise ValueError("cut constant is not finite: a flow ratio exceeds the largest double")
     return constant
 
 

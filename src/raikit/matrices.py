@@ -6,13 +6,14 @@ to exactly 0.0 once, so the zero/nonzero pattern (hence the induced graph) is
 deterministic; stochastic rows are then renormalized and compensated so each
 row sums to exactly 1.0 in floating point, which makes validation idempotent.
 
-Both classes validate through one ordered pass: a flushed C-order copy, the
-largest bit pattern of its entries and its row sums.  An accepted matrix
-needs no separate ``isfinite`` pass: a NaN, a negative entry or an infinity
-fails the bit-pattern bound, and so does an entry above 1 + ROW_SUM_TOL,
-whose row cannot pass the row-sum tolerance either.  Only after a failed
-bound do the finite and sign checks run, so the first failing check names
-the error, in this order: shape (square), n, finite, nonnegative, row sums.
+Both classes validate through one routine in two stages.  First the largest
+bit pattern of the raw C-order copy is tested: a sign bit (-0.0 too), a NaN,
+an infinity or an entry above 1 + ROW_SUM_TOL (whose row fails the row-sum
+tolerance anyway) fails it.  A copy that passes holds only nonnegative
+floats and takes the one-sided flush.  Only a copy that fails takes the
+``abs`` flush (which turns -0.0 into +0.0), the bit test again, then the
+finite and sign checks, so the first failing check names the error, in this
+order: shape (square), n, finite, nonnegative, row sums.
 """
 
 from __future__ import annotations
@@ -53,25 +54,28 @@ _TOP_BITS = int(np.float64(1.0 + ROW_SUM_TOL).view(np.uint64))
 
 def _validated(n: int, entries) -> tuple[np.ndarray, np.ndarray]:
     """Checks shared by both classes: a flushed C-order float copy of an
-    n x n matrix, finite and nonnegative, and its row sums.  When every
-    entry lies in [0, 1 + ROW_SUM_TOL] the copy is all of that and no row
-    sum can overflow.  Otherwise an entry is NaN, infinite or negative,
-    which raises here, or its row sums above 1 + ROW_SUM_TOL (to +inf,
-    without a warning, if the sum overflows), which the caller rejects."""
+    n x n matrix, finite and nonnegative, and its row sums.  Raw bits at most
+    ``_TOP_BITS`` put every entry in [0, 1 + ROW_SUM_TOL]: the one-sided flush
+    suffices and no row sum can overflow.  Otherwise the ``abs`` flush runs;
+    if the bits still fail, a NaN, infinite or negative entry raises here, or
+    a row sums above 1 + ROW_SUM_TOL (to +inf, unwarned), for the caller."""
     e = np.array(entries, dtype=float, order="C")
     if e.shape != (n, n):  # one tuple compare on the accepting path
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError(f"matrix must be square, got shape {e.shape}")
         raise ValueError("n does not match matrix shape")
+    if np.maximum.reduce(e.view(np.uint64), None, initial=0) <= _TOP_BITS:
+        e[e < ENTRY_FLUSH] = 0.0
+        return e, np.add.reduce(e, 1)
     e[np.abs(e) < ENTRY_FLUSH] = 0.0  # -0.0 becomes +0.0 here
-    if e.view(np.uint64).max(initial=0) <= _TOP_BITS:
-        return e, e.sum(axis=1)
+    if np.maximum.reduce(e.view(np.uint64), None, initial=0) <= _TOP_BITS:
+        return e, np.add.reduce(e, 1)
     if not np.isfinite(e).all():
         raise ValueError("entries must be finite")
     if (e < 0).any():
         raise ValueError("entries must be nonnegative")
     with np.errstate(over="ignore"):
-        return e, e.sum(axis=1)
+        return e, np.add.reduce(e, 1)
 
 
 def _nudge_to_unit_sum(row: np.ndarray) -> bool:
@@ -117,19 +121,17 @@ class RowStochasticMatrix(_SquareMatrix):
 
     def __post_init__(self) -> None:
         e, sums = _validated(self.n, self.entries)
-        off = []
-        for i, s in enumerate(sums.tolist()):
+        exact = True
+        for s in sums.tolist():
             if not abs(s - 1.0) <= ROW_SUM_TOL:
                 bad = int(np.argmax(np.abs(sums - 1.0)))
                 raise ValueError(f"row {bad} sums to {float(sums[bad])!r}, outside 1 +/- {ROW_SUM_TOL}")
-            if s != 1.0:
-                off.append(i)
-        if off:
-            # x / 1.0 is x, so the rows already exact keep their bits
+            exact = exact and s == 1.0
+        if not exact:
+            # x / 1.0 is x, so the rows already exact keep their bits and sum
             e /= sums[:, None]
-            rows = np.array(off)
-            for i in rows[e[rows].sum(axis=1) != 1.0].tolist():
-                if not _nudge_to_unit_sum(e[i]):
+            for i, s in enumerate(np.add.reduce(e, 1).tolist()):
+                if s != 1.0 and not _nudge_to_unit_sum(e[i]):
                     raise RuntimeError(f"row {i} cannot be compensated to an exact unit sum")
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)

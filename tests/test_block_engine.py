@@ -4,6 +4,7 @@ writer, against the per-step, per-row and step-by-step code they replaced
 matrix must give the same exception type and message; a rejected engine
 input the same exception type."""
 
+import itertools
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -1126,8 +1127,10 @@ def _same_outcome(got, want):
 @st.composite
 def _validation_inputs(draw, substochastic):
     """(n, entries): a valid matrix of up to 64 rows, with up to two of
-    ``_DEFECTS`` applied; tiny entries of either sign and Fortran order
-    come with both."""
+    ``_DEFECTS`` applied; tiny entries and Fortran order come with both.
+    The tiny entries have either sign, or no sign bit at all (positive
+    subnormals among them), or no sign bit but one: a -0.0 or a negative
+    entry that the flush removes."""
     n = draw(st.integers(1, 64))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     e = _random_rows(rng, n, draw(st.sampled_from(["dense", "sparse", "skewed", "hk"])))
@@ -1136,10 +1139,18 @@ def _validation_inputs(draw, substochastic):
     else:
         target = 1.0 + rng.uniform(-0.9, 0.9, n) * ROW_SUM_TOL * (rng.random(n) < 0.3)
     e = e / e.sum(axis=1, keepdims=True) * target[:, None]
+    signs = draw(st.sampled_from(["mixed", "none", "one"]))
     tiny = (e == 0.0) & (rng.random((n, n)) < 0.3)
-    e[tiny] = ENTRY_FLUSH * rng.uniform(-1.0, 1.0, int(tiny.sum()))
+    e[tiny] = ENTRY_FLUSH * rng.uniform(-1.0 if signs == "mixed" else 0.0, 1.0, int(tiny.sum()))
+    if signs != "mixed":
+        e[tiny & (rng.random((n, n)) < 0.2)] = draw(st.sampled_from([5e-324, 2.2e-308]))
     if draw(st.booleans()):  # exactly at the flush threshold: kept
-        e[tiny & (rng.random((n, n)) < 0.2)] = ENTRY_FLUSH * draw(st.sampled_from([-1.0, 1.0]))
+        sign = draw(st.sampled_from([-1.0, 1.0])) if signs == "mixed" else 1.0
+        e[tiny & (rng.random((n, n)) < 0.2)] = ENTRY_FLUSH * sign
+    flushed = np.argwhere(e < ENTRY_FLUSH)
+    if signs == "one" and len(flushed):
+        i, j = flushed[rng.integers(len(flushed))]
+        e[i, j] = draw(st.sampled_from([-0.0, -5e-324, -0.5 * ENTRY_FLUSH]))
     defects = draw(st.lists(st.sampled_from(_DEFECTS), max_size=2, unique=True))
     for defect in defects:
         _apply_defect(e, defect, rng, substochastic)
@@ -1217,9 +1228,12 @@ def test_overflowing_row_sum_is_rejected_without_a_warning():
 @pytest.mark.parametrize("n", [1, 3])
 def test_entries_at_and_past_the_unit_bound_match_the_checks(n):
     top = 1.0 + ROW_SUM_TOL
-    for v in (np.nextafter(top, 0.0), top, np.nextafter(top, 2.0), 2.0, 1.5e308, np.inf, -0.0):
+    edge = (np.nextafter(top, 0.0), top, np.nextafter(top, 2.0), 2.0, 1.5e308, np.inf, -0.0)
+    # a sign bit that the flush removes, and positive entries with none
+    tiny = (-5e-324, -0.5 * ENTRY_FLUSH, 5e-324, np.nextafter(ENTRY_FLUSH, 0.0), ENTRY_FLUSH)
+    for v, (i, j) in itertools.product(edge + tiny, sorted({(0, 0), (0, n - 1)})):
         e = np.eye(n)
-        e[0, 0] = v
+        e[i, j] = v
         got = _outcome(lambda: (RowStochasticMatrix(n=n, entries=e).entries,))
         _same_outcome(got, _outcome(lambda: (_reference_row_stochastic(e, n),)))
         A = _outcome(lambda: SubstochasticMatrix(n=n, entries=e))

@@ -491,6 +491,20 @@ def test_analyze_graph_constant_of_overflowing_cut_flows(tmp_path):
     assert v["cut_balance"] == {"balanced": True, "constant_C": 2.0, "witness_cut": None}
 
 
+def test_analyze_graph_constant_beyond_the_double_range_exit_two(tmp_path, capsys):
+    """C = 1e300 / 1e-300 has no double: one validation line, no verdict."""
+    sc = {
+        "schema_version": SCHEMA_VERSION,
+        "name": "ratio_overflow",
+        "kind": "analyze_graph",
+        "parameters": {"graph": {"n": 2, "weights": [[0, 1e300], [1e-300, 0]]}},
+    }
+    assert main(["--out-dir", str(tmp_path), "analyze", _write(tmp_path, sc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: validation: cut constant is not finite") and err.count("\n") == 1
+    assert not (tmp_path / "ratio_overflow.verdict.json").exists()
+
+
 def test_run_too_large_to_allocate_exit_two(tmp_path, capsys):
     """10^15 steps need petabytes of states: the allocation fails at once,
     before anything is allocated, and ends in a validation error."""

@@ -1,5 +1,7 @@
 """Structural graph predicates against brute-force oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,71 @@ def _simple_cycle_lengths(weights, nodes):
     for s in sorted(nodes):
         walk(s, s, [s])
     return lengths
+
+
+def _reference_strong_components(g):
+    """Recursive Tarjan reading each node's arcs with ``out_neighbors``,
+    roots in node order; components in emission order."""
+    index, lowlink, comp_of, stack, components = {}, {}, {}, [], []
+
+    def visit(v):
+        index[v] = lowlink[v] = len(index)
+        stack.append(v)
+        for w in g.out_neighbors(v).tolist():
+            if w not in index:
+                visit(w)
+                lowlink[v] = min(lowlink[v], lowlink[w])
+            elif w not in comp_of:
+                lowlink[v] = min(lowlink[v], index[w])
+        if lowlink[v] == index[v]:
+            members = stack[stack.index(v):]
+            del stack[stack.index(v):]
+            for w in members:
+                comp_of[w] = len(components)
+            components.append(frozenset(members))
+
+    for root in range(g.n):
+        if root not in index:
+            visit(root)
+    cond = np.zeros((len(components), len(components)))
+    for i, j in zip(*np.nonzero(g.weights)):
+        if comp_of[i] != comp_of[j]:
+            cond[comp_of[i], comp_of[j]] = 1.0
+    return components, cond
+
+
+def _assert_matches_per_node_arcs(w):
+    g = WeightedDigraph(n=len(w), weights=np.asarray(w, dtype=float))
+    dec = strong_components(g)
+    components, cond = _reference_strong_components(g)
+    assert dec.components == tuple(components)
+    assert dec.condensation.weights.tobytes() == cond.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_strong_components_match_per_node_out_neighbors(n, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(-1.0, 1.0, (n, n)) * (rng.random((n, n)) < rng.random())
+    w[:, rng.random(n) < 0.2] = 0.0  # nodes with no out-arcs
+    w[rng.random(n) < 0.2] = 0.0  # and with no in-arcs
+    _assert_matches_per_node_arcs(w)
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        [[0.0]],
+        [[1.0]],
+        [[-0.5]],
+        [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+        [[0.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, -1.0]],  # self-loops only
+        [[0.0, -1.0, 0.0], [0.0, 0.0, -2.0], [-3.0, 0.0, 0.0]],  # a negative cycle
+        [[0.5, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]],
+    ],
+)
+def test_strong_components_of_degenerate_graphs_match_per_node_arcs(w):
+    _assert_matches_per_node_arcs(w)
 
 
 def test_chain_of_components_classification():
@@ -320,6 +387,25 @@ def test_certificate_constant_of_overflowing_cut_flows():
     for scale in (0, -10):
         cert = cut_balance_certificate(WeightedDigraph(n=3, weights=np.ldexp(w, scale)))
         assert cert.balanced and cert.constant_C == 2.0
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        [[0.0, 1e300], [1e-300, 0.0]],  # the ratio 1e600 overflows
+        # flows past the double range are scaled down first, and 5e-324
+        # underflows to 0: the ratio 1 / 5e-324 has no double either
+        [[0.0, 1.7e308, 5e-324], [1.7e308, 0.0, 0.0], [1.0, 0.0, 0.0]],
+    ],
+)
+def test_certificate_constant_beyond_the_double_range_raises(w):
+    """No finite C exists, so the certificate raises, with no overflow or
+    division warning on the way."""
+    g = WeightedDigraph(n=len(w), weights=np.array(w))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^cut constant is not finite"):
+            cut_balance_certificate(g)
 
 
 def test_certificate_witness_separates_source():

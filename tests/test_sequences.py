@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import raikit.graphs
+import raikit.matrices
 from raikit import (
+    DisturbancePolicy,
     MatrixSequence,
     RowStochasticMatrix,
     arc_count,
@@ -13,6 +15,7 @@ from raikit import (
     check_uniform_cut_balance,
     gossip_sequence,
     persistent_graph,
+    run_rai,
     strong_components,
 )
 from raikit.sequences import IndexedSequence
@@ -347,3 +350,30 @@ def test_sequence_and_checker_argument_errors():
         arc_count(seq, [0], [3], 0, 2)
     with pytest.raises(ValueError, match="node sets must be disjoint"):
         arc_count(seq, [0, 1], [1, 2], 0, 2)
+
+
+def _decay_rows(k):
+    w = 0.45 / (k + 2)
+    return [[1 - 2 * w, w, w], [w, 1 - 2 * w, w], [w, w, 1 - 2 * w]]
+
+
+@pytest.mark.parametrize(
+    "make, period, want",
+    [
+        (lambda k: RowStochasticMatrix(n=3, entries=_decay_rows(k)), 0, 40),  # the generator's own
+        (_decay_rows, 0, 40),  # one per step
+        (lambda k: _decay_rows(k % 7), 7, 7 + 1),  # one period, and the check at k = 0
+    ],
+)
+def test_generator_backed_run_validates_each_step_once(monkeypatch, make, period, want):
+    calls = []
+    validated = raikit.matrices._validated
+
+    def counted(n, entries):
+        calls.append(n)
+        return validated(n, entries)
+
+    monkeypatch.setattr(raikit.matrices, "_validated", counted)
+    seq = MatrixSequence.from_generator(make, n=3, period=period)
+    run_rai(seq, np.array([1.0, -2.0, 0.5]), DisturbancePolicy.vanishing_random(1e-3, 0.9, seed=1), 40)
+    assert len(calls) == want
