@@ -16,10 +16,11 @@ that may end early; ``_check_x0`` checks every initial and history vector.
 run_rai fetches its weights once per run (one period of a periodic
 sequence), and every product is one of raikit.products.  A silent step,
 whose W(k) is exactly the identity, needs no product: the identity
-product is x + 0.0 bitwise, so run_rai has ``_iterate`` advance each
-maximal stretch of silent steps with one sequential subtraction of its
-disturbances.  A run's row extremes M and m are read along the steps axis,
-in bounded blocks, and a vanishing policy's decay factors come from one
+product is x + 0.0 bitwise, so ``_iterate`` walks a run_rai run in
+segments: loud steps one by one, each maximal stretch of silent steps as
+one sequential subtraction of its disturbances, copied into the states
+once.  A run's row extremes M and m are read along the steps axis, in
+bounded blocks, and a vanishing policy's decay factors come from one
 kept table, so the seeds of an ensemble compute them once.
 """
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from itertools import islice, repeat
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -315,46 +316,44 @@ def _iterate(
     reduce's bits and no (steps, n) temporary.
 
     ``silent`` yields, in order, the maximal stretches (k, span) of steps
-    k .. k+span-1 whose W is the identity; ``residuals`` must then hold
-    every row, as run_rai's do.  A stretch skips ``step``: x(k+1) =
-    (x(k) + 0.0) - r(k), and one in-place subtract.accumulate over the
-    stretch's residual rows gives the rest.  These are the product's bits:
-    the identity product turns -0.0 into +0.0 and moves nothing else, no
-    later state of the stretch is -0.0 (a difference is -0.0 only when its
-    first operand is), and accumulate subtracts in the loop's order.  One
-    mark covers the next growth and the next stretch, so every other step
-    costs what it did."""
+    k .. k+span-1 whose W is the identity; the loop walks segments, the
+    loud steps before a stretch through ``step``, then the stretch.  A run
+    with a stretch needs every residual row (else ValueError, before its
+    first step) and copies them into states[1:], so ``out`` may hold r(k)
+    on entry.  A stretch's first state is (x(k) + 0.0) - r(k), and one
+    in-place subtract.accumulate over its rows gives the rest: the
+    product's bits, as the identity product turns -0.0 into +0.0 and moves
+    nothing else, no later state of the stretch is -0.0 (a difference is
+    -0.0 only when its first operand is), and accumulate keeps the order."""
     n, rows = x.shape[0], residuals.shape[0]
     states = np.empty((rows + 1, n))
     states[0] = x
-    stop = None
     silent = iter(silent)
-    at, span = next(silent, (steps, 0))
-    mark = min(rows, at)
-    ks = iter(range(steps))
-    for k in ks:
-        if k == mark:
+    first = next(silent, None)
+    if first is not None:
+        if rows < steps:
+            raise ValueError(f"a run with silent steps needs all {steps} residual rows, got {rows}")
+        states[1:] = residuals
+    stop, k = None, 0
+    for at, span in chain(() if first is None else (first,), silent, ((steps, 0),)):
+        for k in range(k, at):
             if k == rows:
-                more = np.empty((min(k, steps - k), n))
+                more = np.empty((max(1, min(k, steps - k)), n))
                 residuals = np.concatenate([residuals, more])
                 states = np.concatenate([states, more])
                 rows += more.shape[0]
-            if k == at:
-                block = states[k + 1 : k + span + 1]
-                np.add(states[k], 0.0, out=block[0])
-                np.subtract(block[0], residuals[k], out=block[0])
-                block[1:] = residuals[k + 1 : k + span]
-                np.subtract.accumulate(block, axis=0, out=block)
-                next(islice(ks, span - 1, span - 1), None)  # steps k+1 .. k+span-1 are done
-                at, span = next(silent, (steps, 0))
-                mark = min(rows, at)
-                continue
-            mark = min(rows, at)
-        if step(k, states[k], residuals[k], states[k + 1]):
-            stop = k
+            if step(k, states[k], residuals[k], states[k + 1]):
+                stop = k
+                break
+        if stop is not None:
             if k + 1 < rows:
                 states, residuals = states[: k + 2].copy(), residuals[: k + 1].copy()
             break
+        if span:
+            block = states[at + 1 : at + span + 1]
+            np.subtract(states[at] + 0.0, block[0], out=block[0])
+            np.subtract.accumulate(block, axis=0, out=block)
+        k = at + span
     M, m = _extremes(states)
     finite = np.isfinite(M) & np.isfinite(m)
     if not finite.all():
@@ -396,7 +395,7 @@ def run_rai(
     through ``seq.matrix`` before the first step, one period of them for a
     periodic sequence, so a finite list too short for the run raises then.
     A step whose W(k) equals the identity exactly is silent: ``_iterate``
-    advances each stretch of them without a product, with the same bits."""
+    walks each stretch of them as one segment, with no product and the same bits."""
     _check_count("steps", steps)
     x = _check_x0(x0, seq.n)
     residuals = policy.draw(seq.n, steps)

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from raikit import (
@@ -533,6 +533,81 @@ def test_loop_calls_step_only_outside_the_silent_stretches():
     assert traj.states.tobytes() == np.array(want).tobytes()
 
 
+def _stretches_of(mask):
+    """The maximal runs of True in ``mask``, as (k, span) in order."""
+    stretches, k = [], 0
+    for silent, group in itertools.groupby(mask):
+        span = len(list(group))
+        if silent:
+            stretches.append((k, span))
+        k += span
+    return stretches
+
+
+_SIGNED_ENTRIES = st.sampled_from([0.0, -0.0, 5e-324, 0.25, 1.0, 3.0, -1.5])
+
+
+@st.composite
+def _loop_layouts(draw):
+    """A silent mask over the steps, x0 and one residual row per step, with
+    entries of both signed zeros."""
+    n = draw(st.integers(1, 4))
+    mask = draw(st.lists(st.booleans(), max_size=40))
+    row = st.lists(_SIGNED_ENTRIES, min_size=n, max_size=n)
+    return mask, draw(row), draw(st.lists(row, min_size=len(mask), max_size=len(mask)))
+
+
+_ZEROS = [-0.0, 0.0, -1.5]
+_ROWS = [[-0.0, 0.0, 0.25], [0.0, -0.0, -0.0], [0.0, 0.0, 0.0]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout=_loop_layouts(), as_generator=st.booleans())
+# a stretch at k = 0, a loud step, and a stretch that ends at ``steps``
+@example(layout=([True, True, False, True, True], _ZEROS, _ROWS + _ROWS[:2]), as_generator=False)
+# stretches of span 1 between single loud steps
+@example(layout=([True, False, True, False, True], _ZEROS, _ROWS[::-1] + _ROWS[:2]), as_generator=True)
+# loud at both ends
+@example(layout=([False, True, False, False, True, False], _ZEROS, _ROWS * 2), as_generator=False)
+# all silent
+@example(layout=([True] * 4, _ZEROS, _ROWS + _ROWS[:1]), as_generator=True)
+def test_segment_walk_matches_a_per_step_loop(layout, as_generator):
+    mask, x0, rows = layout
+    steps, n = len(mask), len(x0)
+    residuals = np.array(rows, dtype=float).reshape(steps, n)
+    kept = residuals.copy()
+    calls = []
+
+    def step(k, x, r, out):
+        calls.append(k)
+        np.subtract(x[::-1] * 0.5, r, out=out)
+
+    want = [np.array(x0, dtype=float)]
+    for is_silent, r in zip(mask, kept):
+        x = want[-1]
+        want.append((x + 0.0) - r if is_silent else np.subtract(x[::-1] * 0.5, r))
+    stretches = _stretches_of(mask)
+    silent = (s for s in stretches) if as_generator else stretches
+    traj, stop = _iterate(np.array(x0, dtype=float), steps, residuals, step, silent=silent)
+    assert stop is None and calls == [k for k, s in enumerate(mask) if not s]
+    assert traj.states.tobytes() == np.array(want).tobytes()
+    assert residuals.tobytes() == kept.tobytes() and traj.residuals.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("as_iterator", [False, True])
+def test_silent_stretches_need_every_residual_row(as_iterator):
+    calls = []
+
+    def step(k, x, r, out):
+        calls.append(k)
+        out[:] = x
+
+    silent = iter([(5, 3)]) if as_iterator else [(5, 3)]
+    with pytest.raises(ValueError, match="^a run with silent steps needs all 10 residual rows, got 4$"):
+        _iterate(np.zeros(2), 10, np.ones((4, 2)), step, silent=silent)
+    assert calls == []
+
+
 def test_long_silent_run_is_advanced_in_place():
     # The run's own arrays take 16.79 MiB and it peaks at 16.98 MiB.  A copy
     # of the stretch, 6.1 MiB made while the states and residuals are
@@ -897,6 +972,20 @@ def test_loop_grows_and_cuts_its_arrays_to_the_steps_taken(stop, first_rows):
     assert np.array_equal(traj.residuals, -np.repeat(np.arange(taken + 0.0), 2).reshape(-1, 2))
     for a in (traj.states, traj.residuals):
         assert a.base is None and a.flags.owndata
+
+
+@pytest.mark.parametrize("stop", [0, 1, None])
+def test_loop_grows_from_an_empty_first_block(stop):
+    def step(k, x, r, out):
+        out[:] = k + 1
+        r[:] = -k
+        return k == stop
+
+    traj, stopped = _iterate(np.zeros(2), 9, np.empty((0, 2)), step)
+    taken = 9 if stop is None else stop + 1
+    assert stopped == stop
+    assert np.array_equal(traj.states, np.repeat(np.arange(taken + 1.0), 2).reshape(-1, 2))
+    assert np.array_equal(traj.residuals, -np.repeat(np.arange(taken + 0.0), 2).reshape(-1, 2))
 
 
 def test_one_check_names_every_bad_initial_and_history_vector():
