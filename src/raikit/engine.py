@@ -306,14 +306,15 @@ def _iterate(
 ) -> tuple[Trajectory, int | None]:
     """The one step loop: ``step(k, x(k), r(k), out)`` writes x(k+1) into
     ``out``, reading or filling the residual row r(k), and a true return
-    ends the run after step k.  ``residuals`` holds the first rows of the
-    (steps, n) residual array; both arrays double when a run outgrows them
-    and are cut to its length as copies when it ends early.  Returns the
-    run and the step that ended it, or None.  A non-finite state has no
-    verdict and raises ValueError naming its first step; the row max and
-    min propagate NaN and infinity, so those two vectors cover every entry.
-    They are read along the steps axis by ``_extremes``, with the row
-    reduce's bits and no (steps, n) temporary.
+    ends the run after step k.  ``residuals`` holds the first rows, at most
+    ``steps`` (else ValueError), of the (steps, n) residual array; both
+    arrays double when a run outgrows them and are cut to its length as
+    copies when it ends early.  Returns the run and the step that ended it,
+    or None.  A non-finite state has no verdict and raises ValueError
+    naming its first step; the row max and min propagate NaN and infinity,
+    so those two vectors cover every entry.  They are read along the steps
+    axis by ``_extremes``, with the row reduce's bits and no (steps, n)
+    temporary.
 
     ``silent`` yields, in order, the maximal stretches (k, span) of steps
     k .. k+span-1 whose W is the identity; the loop walks segments, the
@@ -326,6 +327,8 @@ def _iterate(
     nothing else, no later state of the stretch is -0.0 (a difference is
     -0.0 only when its first operand is), and accumulate keeps the order."""
     n, rows = x.shape[0], residuals.shape[0]
+    if rows > steps:
+        raise ValueError(f"a run of {steps} steps takes at most {steps} residual rows, got {rows}")
     states = np.empty((rows + 1, n))
     states[0] = x
     silent = iter(silent)

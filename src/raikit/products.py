@@ -14,10 +14,13 @@ def product(rows: int):
     return np.dot if rows > 1 else np.matmul
 
 
-def rowdots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def rowdots(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a_i . b_i for each row pair of two (m, d) arrays, each row the BLAS
-    ddot, and so the bits, of a 1-D ``a @ b`` or ``a.dot(b)``."""
-    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+    ddot, and so the bits, of a 1-D ``a @ b`` or ``a.dot(b)``; written into
+    ``out``, a contiguous (m,) array, when given (the result is then a view
+    of it)."""
+    out = None if out is None else out.reshape(-1, 1, 1)
+    return np.matmul(A[:, None, :], B[:, :, None], out=out)[:, 0, 0]
 
 
 def matvecs(A: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -10,9 +10,13 @@ The convergence mechanism is the averaging inequality: for any common
 fixed point, the vector of distances to it is a feasible trajectory of
 x(k+1) <= W(k) x(k), so the network results apply verbatim.
 
-A round is a few whole-array passes.  Each projector kind has one closed
-form on the rows of an array, and a problem stacks the parameters of the
-agents that share a form, so one call projects them all.
+Each projector kind has one closed form on the rows of an array, written
+into a given output, and a problem stacks the parameters of the agents that
+share a form, so one call projects them all.  A solve allocates one
+workspace from n and d, its buffers and index tables, and every round
+writes into it: a projection of the states, a gather and a subtract for
+the residuals, and a product or a four-call blend for the next states.
+``step`` and the residuals run the same kernel on a workspace of their own.
 """
 
 from __future__ import annotations
@@ -74,32 +78,36 @@ def _vector(name: str, v) -> np.ndarray:
 
 
 # The closed forms (a box's is np.clip), each on the rows of an (m, d) array
-# with its parameters stacked row by row.  A row that a halfspace or a ball
+# with its parameters stacked row by row, written into an (m, d) ``out``
+# that does not overlap X, and returned.  A row that a halfspace or a ball
 # leaves in place is copied, and none of its projection is computed: that
 # could warn.
 
 
-def _hyperplane(X, A, b, nrm2):
-    return X - ((rowdots(A, X) - b) / nrm2)[:, None] * A
+def _hyperplane(X, A, b, nrm2, out):
+    np.multiply(((rowdots(A, X) - b) / nrm2)[:, None], A, out=out)
+    return np.subtract(X, out, out=out)
 
 
-def _halfspace(X, A, b, nrm2):
+def _halfspace(X, A, b, nrm2, out):
     slack = rowdots(A, X) - b
-    out, moved = X.copy(), ~(slack <= 0)  # a NaN slack moves, as in the scalar rule
+    moved = ~(slack <= 0)  # a NaN slack moves, as in the scalar rule
+    np.copyto(out, X)
     out[moved] -= (slack[moved] / nrm2[moved])[:, None] * A[moved]
     return out
 
 
-def _ball(X, C, r):
+def _ball(X, C, r, out):
     off = X - C
     dist = np.sqrt(rowdots(off, off))
-    out, moved = X.copy(), ~(dist <= r)
+    moved = ~(dist <= r)
+    np.copyto(out, X)
     out[moved] = C[moved] + (r[moved] / dist[moved])[:, None] * off[moved]
     return out
 
 
-def _affine_subspace(X, A, pinv, b):
-    return X - matvecs(pinv, matvecs(A, X) - b)
+def _affine_subspace(X, A, pinv, b, out):
+    return np.subtract(X, matvecs(pinv, matvecs(A, X) - b), out=out)
 
 
 @dataclass(frozen=True)
@@ -108,13 +116,14 @@ class ConvexProjector(Paracontraction):
 
     hyperplane(a, b) for a.x = b; halfspace(a, b) for a.x <= b; ball(center,
     r); box(lo, hi); affine_subspace(A, b) for A x = b.  Each records its
-    kind's ``form(X, *params)``, which projects every row of an (m, d) array
-    with ``params`` stacked row by row (one row here); ``apply`` is that form
-    on one point.  ``apply`` closes over the parameters, so projectors compare
-    by identity.  Vectors must be 1-D and A 2-D.  Degenerate specs (zero
-    normal, negative radius, crossed bounds, inconsistent equations) and NaN
-    or infinite parameters are rejected, except on an open side: halfspace
-    b = inf, box lo = -inf or hi = inf, ball r = inf.
+    kind's ``form(X, *params, out=...)``, which projects every row of an
+    (m, d) array into ``out``, with ``params`` stacked row by row (one row
+    here); ``apply`` is that form on one point.  ``apply`` closes over the
+    parameters, so projectors compare by identity.  Vectors must be 1-D and
+    A 2-D.  Degenerate specs (zero normal, negative radius, crossed bounds,
+    inconsistent equations) and NaN or infinite parameters are rejected,
+    except on an open side: halfspace b = inf, box lo = -inf or hi = inf,
+    ball r = inf.
     """
 
     form: Callable = field(compare=False, repr=False)
@@ -128,7 +137,7 @@ class ConvexProjector(Paracontraction):
             xi = np.asarray(xi, dtype=float)
             if xi.shape != (dimension,):
                 raise ValueError(f"point must have dimension {dimension}")
-            return form(xi[None], *params)[0]
+            return form(xi[None], *params, out=np.empty((1, dimension)))[0]
 
         return cls(dimension=dimension, apply=apply, form=form, params=params)
 
@@ -240,11 +249,11 @@ _ALL = slice(None)  # the rows of a group that holds every agent
 
 
 def _grouped(maps: tuple) -> tuple:
-    """The agents as (rows, f, params) groups, each projected at once as
-    ``f(states[rows], *params)``, in the order of their first agents.  The
-    projectors of one closed form and parameter shape form one group, with
-    their parameters stacked in agent order; each other map is a group of
-    its own, its row projected by its ``apply``."""
+    """The agents as (rows, f, params) groups, each projected at once by
+    ``f(states[rows], *params, out=...)``, in the order of their first
+    agents.  The projectors of one closed form and parameter shape form one
+    group, with their parameters stacked in agent order; each other map is a
+    group of its own, rows its index and f its ``apply``."""
     members: dict = {}
     for i, m in enumerate(maps):
         key = (m.form, *(p.shape for p in m.params)) if isinstance(m, ConvexProjector) else i
@@ -259,35 +268,86 @@ def _grouped(maps: tuple) -> tuple:
     return tuple(groups)
 
 
-def _project(groups: tuple, states: np.ndarray) -> np.ndarray:
-    rows, f, params = groups[0]
-    if rows is _ALL:  # one closed form for all agents
-        return f(states, *params)
-    out = np.empty_like(states)
+def _project(groups: tuple, X: np.ndarray, out: np.ndarray) -> None:
+    """Write the projection of each row of X into the same row of out."""
     for rows, f, params in groups:
-        out[rows] = f(states[rows], *params)
-    return out
+        if rows is _ALL:  # one closed form for all agents
+            f(X, *params, out=out)
+        elif isinstance(rows, int):  # a map of its own
+            out[rows] = f(X[rows])
+        else:
+            out[rows] = f(X[rows], *params, out=np.empty((len(rows), X.shape[1])))
 
 
-def _slots(n: int) -> np.ndarray:
-    """(n-1, n) table whose [t, i] entry is i*n + j for the t-th j != i in
-    increasing j: the place of w_ij x_j among the n*n products."""
-    t, i = np.arange(n - 1)[:, None], np.arange(n)
-    return i * n + t + (t >= i)
+class _Workspace:
+    """The buffers and index tables of one solve, built once from n and d.
 
+    ``xp`` holds the states and their projections as its two halves.  Row
+    r of the n + n^2 difference rows is xp[pairs[0, r]] - xp[pairs[1, r]]:
+    the n gaps P_i - x_i, then every x_i - x_j, i-major.  A convex_blend
+    round gathers its terms by two tables whose [t, i] entries name the
+    t-th term of agent i, w_ii P_i and then w_ij x_j for the j != i in
+    increasing j: ``sources`` (n, n) indexes the rows of xp, and ``order``
+    the flat entries of W(k), repeated along the d coordinates, so that the
+    product of the coefficients and the terms has no broadcast.  The other
+    rules mix into ``mixed``."""
 
-def _step(problem: MultiAgentProblem, states: np.ndarray, k: int, projected: np.ndarray | None, slots) -> np.ndarray:
-    """The round at time k from the projections of the step-k states."""
-    Wk = problem.W.matrix(k).entries
-    if problem.algorithm == "convex_blend":
-        # w_ii P_i, then + w_ij x_j for the j != i in increasing j, a slot at
-        # a time for all rows: each entry gets the row-by-row sum's operations.
-        out = Wk.diagonal()[:, None] * projected
-        for term in (Wk[:, :, None] * states).reshape(problem.n**2, -1).take(slots, axis=0):
-            out += term
-        return out
-    mixed = product(problem.n)(Wk, states if problem.algorithm == "pre_project" else projected)
-    return _project(problem._groups, mixed)
+    __slots__ = ("W", "algorithm", "groups", "n", "xp", "states", "projected", "pairs", "gathered",
+                 "diffs", "subtrahends", "squares", "bounds", "order", "sources", "coefs", "terms", "mixed")
+
+    def __init__(self, problem: MultiAgentProblem, states: np.ndarray) -> None:
+        n, d = problem.n, problem.dimension
+        self.W, self.algorithm, self.groups, self.n = problem.W, problem.algorithm, problem._groups, n
+        self.xp = np.empty((2 * n, d))
+        self.states, self.projected = self.xp[:n], self.xp[n:]
+        self.states[...] = states
+        agents, left, right = np.arange(n), *np.divmod(np.arange(n * n), n)
+        self.pairs = np.array([np.concatenate([agents + n, left]), np.concatenate([agents, right])])
+        self.gathered = np.empty((2, n + n * n, d))
+        self.diffs, self.subtrahends = self.gathered
+        self.squares, self.bounds = np.empty(n + n * n), np.array([0, n])
+        if self.algorithm == "convex_blend":
+            t = np.arange(n - 1)[:, None]
+            others = t + (t >= agents)
+            order = agents * n + np.concatenate([agents[None], others])
+            self.order = np.repeat(order[:, :, None], d, axis=2)
+            self.sources = np.concatenate([agents[None] + n, others])
+            self.coefs, self.terms = np.empty((n, n, d)), np.empty((n, n, d))
+        else:
+            self.mixed = np.empty((n, d))
+
+    def residuals(self, k: int) -> tuple:
+        """Disagreement and violation of the states, after projecting them
+        into ``projected``.  Each squared norm is one row dot as in _norm
+        (x_i - x_j and x_j - x_i have one square), and the root of the
+        largest square is the largest norm.  The maxima keep NaN and inf,
+        and a square is finite only if its row is, which checks the states
+        too."""
+        _project(self.groups, self.states, self.projected)
+        self.xp.take(self.pairs, axis=0, out=self.gathered)
+        np.subtract(self.diffs, self.subtrahends, out=self.diffs)
+        squares = rowdots(self.diffs, self.diffs, out=self.squares)
+        gap, spread = np.maximum.reduceat(squares, self.bounds).tolist()
+        if not (math.isfinite(gap) and math.isfinite(spread)):
+            raise ValueError(f"solver state became non-finite at iteration {k}")
+        return math.sqrt(spread), math.sqrt(gap)
+
+    def round(self, k: int) -> None:
+        """Write the states at time k + 1 over the states, from those at
+        time k and their projections.  A blend adds its terms in order along
+        axis 0, each entry with the operations of the row-by-row sum: the
+        reduce starts from -0.0, which x + -0.0 leaves as x, where its
+        default 0.0 would turn a -0.0 first term into +0.0."""
+        Wk = self.W.matrix(k).entries
+        if self.algorithm == "convex_blend":
+            Wk.take(self.order, out=self.coefs)  # from the flat entries
+            self.xp.take(self.sources, axis=0, out=self.terms)
+            np.multiply(self.coefs, self.terms, out=self.terms)
+            np.add.reduce(self.terms, axis=0, out=self.states, initial=-0.0)
+            return
+        operand = self.projected if self.algorithm == "double_project" else self.states
+        product(self.n)(Wk, operand, out=self.mixed)
+        _project(self.groups, self.mixed, self.states)
 
 
 def step(problem: MultiAgentProblem, states: np.ndarray, k: int) -> np.ndarray:
@@ -299,8 +359,11 @@ def step(problem: MultiAgentProblem, states: np.ndarray, k: int) -> np.ndarray:
     states = np.asarray(states, dtype=float)
     if states.shape != (n, d):
         raise ValueError(f"states must be {n}x{d}")
-    projected = None if problem.algorithm == "pre_project" else _project(problem._groups, states)
-    return _step(problem, states, k, projected, _slots(n))
+    ws = _Workspace(problem, states)
+    if problem.algorithm != "pre_project":
+        _project(ws.groups, ws.states, ws.projected)
+    ws.round(k)
+    return ws.states
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,23 +384,12 @@ class SolveResult(Report, ArrayFields):
 
 
 def _residuals(problem: MultiAgentProblem, states: np.ndarray, k: int) -> tuple:
-    """Disagreement, violation, and the projections.  The rows of one fresh
-    array are the n gaps P_i - x_i and all n^2 differences x_i - x_j (x_i -
-    x_j and x_j - x_i have one square), so each squared norm is one dot as
-    in _norm, and the root of the largest square is the largest norm.  The
-    maxima keep NaN and inf, and a square is finite only if its row is,
-    which checks the states too."""
-    (n, d), projected = states.shape, _project(problem._groups, states)
-    diffs = np.empty((n + n * n, d))
-    np.subtract(projected, states, out=diffs[:n])
-    np.subtract(states[:, None], states, out=diffs[n:].reshape(n, n, d))
-    gap, spread = np.maximum.reduceat(rowdots(diffs, diffs), [0, n]).tolist()
-    if not (math.isfinite(gap) and math.isfinite(spread)):
-        raise ValueError(f"solver state became non-finite at iteration {k}")
-    return math.sqrt(spread), math.sqrt(gap), projected
+    """Disagreement, violation, and the projections of ``states``."""
+    ws = _Workspace(problem, states)
+    return (*ws.residuals(k), ws.projected)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite state raises in _residuals
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite state raises in the residuals
 def solve(
     problem: MultiAgentProblem,
     max_iters: int = MAX_ITERS,
@@ -353,20 +405,19 @@ def solve(
     _check_count("max_iters", max_iters)
     if not tol > 0:
         raise ValueError("tol must be positive")
-    states = problem.initial.copy()
-    slots = _slots(problem.n)
+    ws = _Workspace(problem, problem.initial)
     dg_hist: list[float] = []
     vi_hist: list[float] = []
     for it in range(max_iters + 1):
-        dg, vi, projected = _residuals(problem, states, it)
+        dg, vi = ws.residuals(it)
         dg_hist.append(dg)
         vi_hist.append(vi)
         if (dg < tol and vi < tol) or it == max_iters:
             break
-        states = _step(problem, states, it, projected, slots)
+        ws.round(it)
     return SolveResult(
         converged=dg < tol and vi < tol,
-        solution=states.mean(axis=0),
+        solution=ws.states.mean(axis=0),
         iterations=it,
         agent_disagreement=dg,
         constraint_violation=vi,

@@ -608,6 +608,21 @@ def test_silent_stretches_need_every_residual_row(as_iterator):
     assert calls == []
 
 
+@pytest.mark.parametrize("silent", [(), [(1, 1)]])
+def test_a_residual_block_longer_than_the_run_raises(silent):
+    # Sized by the block, the run would return 5 steps, the last two of
+    # them never written.
+    calls = []
+
+    def step(k, x, r, out):
+        calls.append(k)
+        out[:] = x
+
+    with pytest.raises(ValueError, match="^a run of 3 steps takes at most 3 residual rows, got 5$"):
+        _iterate(np.zeros(2), 3, np.zeros((5, 2)), step, silent=silent)
+    assert calls == []
+
+
 def test_long_silent_run_is_advanced_in_place():
     # The run's own arrays take 16.79 MiB and it peaks at 16.98 MiB.  A copy
     # of the stretch, 6.1 MiB made while the states and residuals are

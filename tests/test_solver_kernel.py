@@ -7,13 +7,14 @@ calls, rows left in place without warnings, and the breakdown rule."""
 import dataclasses
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from raikit import ALGORITHMS, ConvexProjector, MatrixSequence, MultiAgentProblem, Paracontraction, solve, step
+from raikit import ALGORITHMS, ConvexProjector, MatrixSequence, MultiAgentProblem, Paracontraction, solve, solvers, step
 from raikit.solvers import _norm, _residuals
 
 
@@ -352,3 +353,191 @@ def test_a_round_whose_rows_stay_put_raises_no_warning(algorithm):
     W = MatrixSequence.constant(np.eye(len(maps)))
     got = solve(MultiAgentProblem(maps=maps, W=W, algorithm=algorithm, initial=initial), max_iters=3)
     assert got.violation_history[0] == 0.0
+
+
+# --- pinned sizes beyond the hypothesis range --------------------------------
+
+
+def _pinned_maps(rng, n, d, kinds):
+    """n projectors cycling through ``kinds``, each consistent with a point
+    near the origin; one kind gives one group of all agents."""
+    maps = []
+    for i in range(n):
+        kind, a = kinds[i % len(kinds)], rng.standard_normal(d) + 0.1
+        if kind == "hyperplane":
+            maps.append(ConvexProjector.hyperplane(a, float(rng.uniform(-1, 1))))
+        elif kind == "halfspace":
+            maps.append(ConvexProjector.halfspace(a, float(rng.uniform(-1, 1))))
+        elif kind == "ball":
+            maps.append(ConvexProjector.ball(rng.uniform(-0.5, 0.5, d), float(rng.uniform(0.5, 2.0))))
+        elif kind == "box":
+            lo = rng.uniform(-2.0, 0.0, d)
+            maps.append(ConvexProjector.box(lo, lo + rng.uniform(0.5, 3.0, d)))
+        else:
+            A = rng.standard_normal((max(1, d // 2), d))
+            maps.append(ConvexProjector.affine_subspace(A, A @ rng.uniform(-0.5, 0.5, d)))
+    return tuple(maps)
+
+
+def _pinned_problem(n, d, storage, algorithm, kinds):
+    rng = np.random.default_rng([n, d, len(kinds)])
+    maps = _pinned_maps(rng, n, d, kinds)
+    mats = []
+    for _ in range(3):
+        raw = rng.random((n, n)) * (rng.random((n, n)) < 0.4) + np.eye(n) * rng.random(n)
+        raw[rng.random((n, n)) < 0.2] = 0.0
+        raw[raw.sum(axis=1) == 0, 0] = 1.0
+        mats.append(raw / raw.sum(axis=1, keepdims=True))
+    if storage == "constant":
+        W = MatrixSequence.constant(mats[0])
+    elif storage == "periodic":
+        W = MatrixSequence.explicit(mats, period=3)
+    else:
+        W = MatrixSequence.from_generator(lambda k: mats[k * k % 3], n=n)
+    initial = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-2, 3, (n, d))
+    initial.flat[:: 5] = -0.0
+    initial.flat[1:: 7] = 0.0
+    initial.flat[2:: 11] = 5e-324
+    return MultiAgentProblem(maps=maps, W=W, algorithm=algorithm, initial=initial)
+
+
+_ALL_KINDS = ("hyperplane", "halfspace", "ball", "box", "affine_subspace")
+
+
+@pytest.mark.parametrize("kinds", [("hyperplane",), _ALL_KINDS], ids=["one_form", "all_forms"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("storage", ["constant", "periodic", "generator"])
+@pytest.mark.parametrize("d", [1, 7])
+@pytest.mark.parametrize("n", [8, 13, 32])
+def test_pinned_sizes_match_the_row_by_row_reference_bit_for_bit(n, d, storage, algorithm, kinds):
+    """At these n the blend's axis-0 reduce adds 8, 13 and 32 terms a row:
+    the order is the reference's at every size, with no pairwise split."""
+    problem = _pinned_problem(n, d, storage, algorithm, kinds)
+    max_iters = 12 if n < 32 else 5
+    with np.errstate(all="ignore"):
+        want_states, want_iters, want_dg, want_vi, finite = _oracle_solve(problem, max_iters, 1e-300)
+        got = solve(problem, max_iters=max_iters, tol=1e-300)
+        for k in (0, 1, 4):
+            assert step(problem, want_states, k).tobytes() == _oracle_step(problem, want_states, k).tobytes()
+        dg, vi, projected = _residuals(problem, want_states, max_iters)
+    assert finite and got.iterations == want_iters == max_iters
+    assert list(map(_bits, got.disagreement_history)) == list(map(_bits, want_dg))
+    assert list(map(_bits, got.violation_history)) == list(map(_bits, want_vi))
+    assert got.solution.tobytes() == want_states.mean(axis=0).tobytes()
+    assert (_bits(dg), _bits(vi)) == tuple(map(_bits, _oracle_residuals(problem, want_states)))
+    assert projected.tobytes() == np.array([m.apply(x) for m, x in zip(problem.maps, want_states)]).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 13])
+def test_a_blend_keeps_a_coordinate_whose_every_term_is_minus_zero(n):
+    """Boxes around the origin keep -0.0, and w * -0.0 is -0.0 for every
+    weight, so the reference's sum of column 0 is -0.0 in every row; a sum
+    that started from +0.0 would give +0.0."""
+    rng = np.random.default_rng(n)
+    maps = tuple(ConvexProjector.box(-rng.uniform(1, 2, 3), rng.uniform(1, 2, 3)) for _ in range(n))
+    raw = rng.random((n, n)) * (rng.random((n, n)) < 0.5) + np.eye(n)
+    initial = rng.uniform(-3, 3, (n, 3))
+    initial[:, 0] = -0.0
+    W = MatrixSequence.constant(raw / raw.sum(axis=1, keepdims=True))
+    problem = MultiAgentProblem(maps=maps, W=W, algorithm="convex_blend", initial=initial)
+    stepped = step(problem, initial, 0)
+    assert np.signbit(stepped[:, 0]).all()
+    assert stepped.tobytes() == _oracle_step(problem, initial, 0).tobytes()
+    want_states = _oracle_solve(problem, 6, 1e-300)[0]
+    assert solve(problem, max_iters=6, tol=1e-300).solution.tobytes() == want_states.mean(axis=0).tobytes()
+
+
+# --- the workspace stays inside one solve ------------------------------------
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_solves_share_no_state_and_leave_their_inputs_alone(algorithm):
+    problem = _mixed_problem(algorithm, _mixed_maps())
+    initial = problem.initial.tobytes()
+    first, second = solve(problem, max_iters=60, tol=1e-12), solve(problem, max_iters=60, tol=1e-12)
+    assert problem.initial.tobytes() == initial
+    assert first.iterations == second.iterations
+    assert list(map(_bits, first.disagreement_history)) == list(map(_bits, second.disagreement_history))
+    assert list(map(_bits, first.violation_history)) == list(map(_bits, second.violation_history))
+    assert first.solution.tobytes() == second.solution.tobytes()
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_step_returns_a_fresh_array_and_leaves_its_input_alone(algorithm):
+    problem = _mixed_problem(algorithm, _mixed_maps())
+    states = problem.initial.copy()
+    before = states.tobytes()
+    first = step(problem, states, 0)
+    second = step(problem, states, 0)
+    assert states.tobytes() == before
+    assert first is not states and not np.shares_memory(first, states)
+    assert not np.shares_memory(first, second) and first.tobytes() == second.tobytes()
+    assert not np.shares_memory(first, problem.initial)
+
+
+def test_a_projection_from_the_residuals_is_not_overwritten_later():
+    problem = _mixed_problem("convex_blend", _mixed_maps())
+    _, _, projected = _residuals(problem, problem.initial, 0)
+    kept = projected.copy()
+    _residuals(problem, problem.initial * 2.0 + 1.0, 1)
+    step(problem, problem.initial, 0)
+    solve(problem, max_iters=5)
+    assert projected.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_the_solution_does_not_alias_the_workspace(algorithm, monkeypatch):
+    made, base = [], solvers._Workspace
+
+    class Recording(base):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(solvers, "_Workspace", Recording)
+    result = solve(_mixed_problem(algorithm, _mixed_maps()), max_iters=20)
+    (ws,) = made
+    buffers = [getattr(ws, name) for name in base.__slots__ if hasattr(ws, name)]
+    buffers = [b for b in buffers if isinstance(b, np.ndarray)]
+    assert len(buffers) >= 8 and result.solution.base is None
+    assert not any(np.shares_memory(result.solution, b) for b in buffers)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_memory_of_a_long_generated_solve_does_not_grow_with_its_rounds(algorithm):
+    """5 000 rounds on an aperiodic generated W whose matrices are each new
+    objects.  The generator empties the sequence's cache, so what is still
+    held at round k is the histories so far; the peak within each round,
+    over what was held when it began, is what the round allocates for
+    itself.  Both are read by the generator, which each round calls once."""
+    n, d, rounds = 4, 2, 5000
+    rng = np.random.default_rng(3)
+    mats = [m / m.sum(axis=1, keepdims=True) for m in rng.random((5, n, n)) + 0.1]
+    held, extra = np.zeros(rounds, dtype=np.int64), np.zeros(rounds, dtype=np.int64)  # allocated up front
+
+    def generate(k):
+        W.cache.clear()
+        held[k], peak = tracemalloc.get_traced_memory()
+        extra[k] = peak - held[k - 1]
+        tracemalloc.reset_peak()
+        return mats[(k * k + k // 7) % 5].copy()
+
+    W = MatrixSequence.from_generator(generate, n=n)
+    # Two parallel hyperplanes per coordinate pair: no common point, so no
+    # round converges.
+    maps = tuple(ConvexProjector.hyperplane([1.0, 1.0], float(i % 2)) for i in range(n))
+    problem = MultiAgentProblem(maps=maps, W=W, algorithm=algorithm, initial=rng.standard_normal((n, d)))
+    tracemalloc.start()
+    try:
+        result = solve(problem, max_iters=rounds)
+    finally:
+        tracemalloc.stop()
+    assert not result.converged and result.iterations == rounds
+    # Each round adds two history floats, 2 x (24 + 8) bytes with the list's
+    # spare room; a kept table of W's coefficients would add 200 or more.
+    assert (held[-1] - held[1000]) / (rounds - 1001) < 100
+    # The temporaries of a round, the generated matrix's validation included,
+    # take a few KiB at every round; a history list's growth adds a few more.
+    assert extra[1:].max() < 16 * 1024
