@@ -9,10 +9,12 @@ which makes the no-delay and constant-delay reductions hold bitwise, not
 just approximately: see run_delayed_rai.
 
 Every engine, the signed and bounded-confidence runs of raikit.opinions
-included, computes x(k+1) from x(k) plus a per-step residual in the one
-step loop ``_iterate``, which fills one (steps+1, n) state array,
-reserved up front for a fixed-length run and grown by doubling for a run
-that may end early; ``_check_x0`` checks every initial and history vector.
+included, computes x(k+1) from x(k) in the one step loop ``_iterate``
+(the bounded-confidence step also its residual; the signed and delayed
+runs certify theirs in one pass over the finished run), which fills one
+(steps+1, n) state array, reserved up front for a fixed-length run and
+grown by doubling for a run that may end early; ``_check_x0`` checks
+every initial and history vector.
 run_rai fetches its weights once per run (one period of a periodic
 sequence), and every product is one of raikit.products.  A silent step,
 whose W(k) is exactly the identity, needs no product: the identity
@@ -548,7 +550,9 @@ def run_delayed_rai(
     block only; history blocks shift exactly.
 
     The recorded ``window_max`` is the max over the whole delay window,
-    non-increasing up to rounding (plain M(k) is not monotone here)."""
+    non-increasing up to rounding (plain M(k) is not monotone here), and
+    read after the loop as one sliding max; the first increase beyond
+    rounding is an internal error (a non-finite state raises first)."""
     _check_count("steps", steps)
     n = seq.n
     ds = delays.d_star
@@ -559,10 +563,9 @@ def run_delayed_rai(
         )
     # y = [x(0); x(-1); ...; x(-d_star)], newest first.
     y = np.concatenate([_check_x0(h, n, "history vector") for h in hist][::-1])
+    first, older = y.max(), y.reshape(ds + 1, n)[:0:-1].max(axis=1)
     stacked_cache: dict = {}
     matvec = product(y.shape[0])
-    window_max = np.empty(steps + 1)
-    window_max[0] = y.max()
 
     def step(k, x, delta, out):
         W = seq.matrix(k)
@@ -572,16 +575,22 @@ def run_delayed_rai(
             stacked_cache[key] = (W, _stack(W, table, ds))
         y[:] = matvec(stacked_cache[key][1].entries, y)
         y[:n] -= delta
-        wm = float(y.max())
-        prev = float(window_max[k])
-        if wm > prev + FEAS_TOL * max(1.0, abs(prev)):
-            raise RuntimeError(
-                f"delay-window max increased at step {k}: {prev!r} -> {wm!r}"
-            )
         out[:] = y[:n]
-        window_max[k + 1] = wm
 
     traj = _iterate(y[:n], steps, policy.draw(n, steps), step)[0]
+    # max y(k) is the max of the row maxima of x(k - d_star), ..., x(k); every
+    # zero of y(k) for k >= 1 has been through gemv, which gives +0.0.
+    rows = np.concatenate([older, traj.M])
+    window_max = rows[ds:].copy()
+    for j in range(ds):
+        np.maximum(window_max, rows[j : j + steps + 1], out=window_max)
+    window_max[window_max == 0.0] = 0.0
+    window_max[0] = first
+    prev = window_max[:-1]
+    up = np.flatnonzero(window_max[1:] > prev + FEAS_TOL * np.maximum(1.0, np.abs(prev)))
+    if up.size:
+        prev, wm = window_max[up[0] : up[0] + 2].tolist()
+        raise RuntimeError(f"delay-window max increased at step {up[0]}: {prev!r} -> {wm!r}")
     return replace(traj, window_max=window_max)
 
 

@@ -8,7 +8,7 @@ Signed sequences share ``MatrixSequence``'s base and read like it: one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -16,7 +16,7 @@ import numpy as np
 from .engine import Trajectory, _check_x0, _iterate, _tail
 from .graphs import Report, WeightedDigraph, _check_count, reachable
 from .matrices import RowStochasticMatrix
-from .products import product
+from .products import cyclic_matvecs, product
 from .sequences import MatrixSequence, _WeightSequence
 from .tolerances import CLUSTER_TOL, CONSENSUS_TOL, FEAS_TOL
 
@@ -228,23 +228,30 @@ def run_altafini(seq: SignedMatrixSequence, x0, steps: int) -> Trajectory:
     The stored residuals certify the companion inequality on magnitudes:
     |x(k+1)| <= |A(k)| |x(k)| entrywise, with residual
     delta(k) = |A(k)||x(k)| - |x(k+1)| >= 0; a violation beyond rounding
-    is an internal error.  Weights and magnitudes are fetched once, before
-    the first step (one period of them for a periodic sequence)."""
+    is an internal error, raised for the first such k (a non-finite state
+    raises first).  Weights are fetched once, before the first step (one period
+    of them for a periodic sequence); a step is one product, and the
+    residuals are one pass over the finished run."""
     _check_count("steps", steps)
     x = _check_x0(x0, seq.n)
     period = seq.period or steps
     weights = [seq.matrix(k) for k in range(min(period, steps))]
-    magnitudes = [np.abs(A) for A in weights]
     matvec = product(seq.n)
 
     def step(k, x, delta, out):
         matvec(weights[k % period], x, out=out)
-        mags = np.abs(x)
-        np.subtract(matvec(magnitudes[k % period], mags), np.abs(out), out=delta)
-        if np.any(delta < -FEAS_TOL * np.maximum(1.0, mags.max())):
-            raise RuntimeError(f"magnitude inequality violated at step {k}")
 
-    return _iterate(x, steps, np.empty((steps, seq.n)), step)[0]
+    traj = _iterate(x, steps, np.empty((steps, 0)), step)[0]  # no residual in the loop
+    mags, delta = np.abs(traj.states), np.empty((steps, seq.n))
+    with np.errstate(over="ignore"):  # an overflowed bound is inf
+        cyclic_matvecs(np.abs(np.reshape(weights, (-1, seq.n, seq.n))), mags[:-1], delta)
+    np.subtract(delta, mags[1:], out=delta)
+    del mags
+    peak = np.maximum(traj.M[:-1], -traj.m[:-1])  # max |x(k)|, bit for bit
+    low = np.flatnonzero(delta < -FEAS_TOL * np.maximum(1.0, peak)[:, None])
+    if low.size:
+        raise RuntimeError(f"magnitude inequality violated at step {low[0] // seq.n}")
+    return replace(traj, residuals=delta)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,21 @@ def rowdots(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.n
     return np.matmul(A[:, None, :], B[:, :, None], out=out)[:, 0, 0]
 
 
-def matvecs(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """A_i @ x_i for an (m, p, d) stack of matrices and the rows of an
-    (m, d) array, each the BLAS call, and so the bits, of a 2-D ``A @ x``."""
-    return np.matmul(A, X[:, :, None])[:, :, 0]
+def matvecs(A: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A_i @ x_i over the broadcast leading axes of a stack of (p, d)
+    matrices and one of d-vectors, each the BLAS call, and so the bits, of
+    a 2-D ``A @ x``; written into ``out`` when given."""
+    return np.matmul(A, X[..., None], out=None if out is None else out[..., None])[..., 0]
+
+
+def cyclic_matvecs(A: np.ndarray, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A[k % P] @ x_k for a (P, p, d) stack and each row x_k of an (m, d)
+    array, written into ``out``, a contiguous (m, p) array: one matvecs
+    over the whole periods of rows, when there are several, and one over
+    the rows left."""
+    (m, d), (P, p) = X.shape, A.shape[:2]
+    whole = m - m % P if m > P else 0
+    if whole:
+        matvecs(A, X[:whole].reshape(-1, P, d), out[:whole].reshape(-1, P, p))
+    matvecs(A[: m - whole], X[whole:], out[whole:])
+    return out

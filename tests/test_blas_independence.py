@@ -241,3 +241,34 @@ def test_batched_solver_products_give_the_bits_of_per_row_products_under_forced_
     count, differs = _run_under(core, _BATCHED_CHECK)
     assert count == str(22 * 2 * 12 + 17 * 2 * 3 * 8)
     assert int(differs) > 0
+
+
+# The signed run's magnitude bounds: each row of one cyclic_matvecs call
+# against the product of its matrix of the period, as a step makes it, on
+# rows that take whole periods, a part of one, or both.  Prints the number
+# of comparisons.
+_CYCLIC_CHECK = """
+import numpy as np
+from raikit.products import cyclic_matvecs, product
+
+rng = np.random.default_rng(21)
+specials = np.array([0.0, -0.0, 5e-324, 2.2e-308, 1e-310])
+count = 0
+for n in (1, 2, 3, 4, 5, 7, 8, 9, 16, 33):
+    for P in (1, 2, 3):
+        for m in (P - 1, P, 2 * P + 1):
+            A = np.abs(rng.standard_normal((P, n, n))) * (rng.random((P, n, n)) < 0.6)
+            X = np.abs(rng.standard_normal((m, n)))
+            pick = rng.random(X.shape) < 0.2
+            X[pick] = rng.choice(specials, int(pick.sum()))
+            got = cyclic_matvecs(A, X, np.empty((m, n)))
+            want = [product(n)(A[k % P], x).tobytes() for k, x in enumerate(X)]
+            assert [row.tobytes() for row in got] == want, (n, P, m)
+            count += m
+print(count)
+"""
+
+
+@pytest.mark.parametrize("core", [None, "Haswell", "Sandybridge"])
+def test_cyclic_products_give_the_bits_of_per_step_products_under_forced_blas_core_types(core):
+    assert _run_under(core, _CYCLIC_CHECK) == [str(10 * sum(4 * P for P in (1, 2, 3)))]

@@ -902,6 +902,115 @@ def test_run_altafini_from_signed_zeros_matches_list_loop(A, x0):
     _assert_same(run_altafini(seq, x0, 6), _reference_run_altafini(seq, x0, 6))
 
 
+# Histories that mix -0.0 and 0.0 under maxima of exactly zero: y(0) is the
+# raw history, so its max may be either zero, while every zero of a later
+# y(k) has been through gemv and is +0.0.  The tie rule of the window max.
+_SIGNED_ZERO_HISTORIES = {
+    "n2-d1": ([[0.5, 0.5], [0.0, 1.0]], [[0, 1], [0, 0]], [[0.0, -1.0], [-0.0, -0.0]]),
+    "n1-d2": ([[1.0]], [[0]], [[-0.0], [0.0], [-0.0]]),
+    "n2-d2": ([[1.0, 0.0], [0.5, 0.5]], [[0, 0], [2, 0]], [[-1.0, -0.0], [0.0, -2.0], [-0.0, -0.0]]),
+    "n2-d2-rising": ([[0.5, 0.5], [0.5, 0.5]], [[0, 2], [1, 0]], [[0.0, -0.0], [-0.0, -3.0], [-0.0, -1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SIGNED_ZERO_HISTORIES))
+@pytest.mark.parametrize(
+    "policy", [DisturbancePolicy.zero(), DisturbancePolicy.constant_random(-0.0, seed=2)], ids=["zero", "minus-0"]
+)
+def test_run_delayed_rai_from_mixed_signed_zero_histories_matches_per_step_loop(name, policy):
+    W, table, history = _SIGNED_ZERO_HISTORIES[name]
+    seq = MatrixSequence.constant(W)
+    delays = DelaySpec.constant(table, d_star=len(history) - 1)
+    traj = run_delayed_rai(seq, delays, history, policy, 8)
+    ref = _reference_run_delayed_rai(seq, delays, history, policy, 8)
+    _assert_same(traj, ref)
+    zero = np.flatnonzero(ref[2] == 0.0)
+    assert zero[0] == 0 and zero[-1] >= 1  # a zero window max at k = 0 and later
+
+
+# ---------------------------------------------------------------------------
+# The certificates' guards.  Exact arithmetic never trips them, so a
+# negative tolerance stands in for a violation: the first failing step is
+# named, also when every later step fails too.
+
+
+@pytest.mark.parametrize("tol, k", [(-0.75, 0), (-0.1, 3)])
+def test_magnitude_guard_names_the_first_violating_step(monkeypatch, tol, k):
+    # x(k) = -2^-k (1, 1), so delta(k) = 2^-(k+1) in both rows: step k is
+    # the first whose residual falls below -tol.
+    seq = SignedMatrixSequence.constant([[0.75, -0.25], [-0.25, 0.75]])
+    assert run_altafini(seq, [-1.0, -1.0], 8).residuals[:, 0].tolist() == [2.0 ** -(j + 1) for j in range(8)]
+    monkeypatch.setattr("raikit.opinions.FEAS_TOL", tol)
+    with pytest.raises(RuntimeError) as caught:
+        run_altafini(seq, [-1.0, -1.0], 8)
+    assert str(caught.value) == f"magnitude inequality violated at step {k}"
+    assert type(caught.value) is RuntimeError
+    run_altafini(seq, [-1.0, -1.0], k)  # the steps before k pass
+
+
+@pytest.mark.parametrize("tol, k, text", [(-2.0, 0, "1.0 -> 0.0"), (-0.5, 4, "-3.0 -> -4.0")])
+def test_window_max_guard_names_the_first_increasing_step(monkeypatch, tol, k, text):
+    # Agreeing agents lose 1 a step from x(-1) = (1, 1) and x(0) = (0, 0),
+    # so the window max runs 1, 0, -1, -2, ...
+    seq = MatrixSequence.constant([[0.5, 0.5], [0.5, 0.5]])
+    delays = DelaySpec.constant([[0, 0], [0, 0]], d_star=1)
+    history, policy = [[1.0, 1.0], [0.0, 0.0]], DisturbancePolicy.adversarial_replay([[1.0, 1.0]])
+    assert run_delayed_rai(seq, delays, history, policy, 8).window_max.tolist() == [1.0 - j for j in range(9)]
+    monkeypatch.setattr("raikit.engine.FEAS_TOL", tol)
+    with pytest.raises(RuntimeError) as caught:
+        run_delayed_rai(seq, delays, history, policy, 8)
+    assert str(caught.value) == f"delay-window max increased at step {k}: {text}"
+    assert type(caught.value) is RuntimeError
+    run_delayed_rai(seq, delays, history, policy, k)  # the steps before k pass
+
+
+# ---------------------------------------------------------------------------
+# Memory of the certificate passes: the run's own arrays, one (steps+1, n)
+# array of magnitudes for the signed run and a few (steps,) vectors for the
+# delayed one.  A (steps, n, n) stack of weights or a (steps, N) array of
+# stacked windows would each be several times the states.
+
+
+def test_long_signed_run_holds_one_array_of_magnitudes():
+    rng = np.random.default_rng(4)
+    mats = []
+    for _ in range(3):
+        signs = np.where(rng.random((8, 8)) < 0.4, -1.0, 1.0)
+        np.fill_diagonal(signs, 1.0)
+        mats.append(signs * _stochastic(rng, 8, "dense"))
+    seq = SignedMatrixSequence.explicit(mats, period=3)
+    tracemalloc.start()
+    try:
+        traj = run_altafini(seq, rng.uniform(-5.0, 5.0, 8), 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = sum(a.nbytes for a in (traj.states, traj.residuals, traj.M, traj.m, traj.d))
+    assert traj.steps == 100_000 and traj.states.nbytes > 6 * 2**20
+    assert peak < own + traj.states.nbytes + 2**20, f"the run peaked at {peak / 2**20:.2f} MiB"
+
+
+def test_long_delayed_run_holds_no_window_array():
+    rng = np.random.default_rng(5)
+    seq = MatrixSequence.explicit([_stochastic(rng, 8, "dense") for _ in range(3)], period=3)
+    tables = []
+    for _ in range(2):
+        t = rng.integers(0, 3, (8, 8))
+        np.fill_diagonal(t, 0)
+        tables.append(t)
+    history = [rng.uniform(-5.0, 5.0, 8) for _ in range(3)]
+    policy = DisturbancePolicy.constant_random(1e-3, seed=5)
+    tracemalloc.start()
+    try:
+        traj = run_delayed_rai(seq, DelaySpec.periodic(tables, d_star=2), history, policy, 50_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = sum(a.nbytes for a in (traj.states, traj.residuals, traj.M, traj.m, traj.d, traj.window_max))
+    assert traj.steps == 50_000 and traj.states.nbytes > 3 * 2**20
+    assert peak < own + 4 * traj.window_max.nbytes + 2**20, f"the run peaked at {peak / 2**20:.2f} MiB"
+
+
 def _raised(run):
     try:
         run()

@@ -2,7 +2,8 @@
 product: no other module of ``src/raikit`` uses ``@``, ``np.dot``,
 ``.dot(``, ``np.matmul`` or ``np.vdot``, so the BLAS calls that fix the
 bits of the verdicts are all made in one file.  ``rowdots`` written into a
-given buffer gives the bits of the array it allocates."""
+given buffer gives the bits of the array it allocates, and each row of
+``cyclic_matvecs`` the bits of ``product`` on its matrix of the stack."""
 
 import ast
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from raikit.products import rowdots
+from raikit.products import cyclic_matvecs, product, rowdots
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "raikit"
 PRODUCT_NAMES = {"dot", "matmul", "vdot"}
@@ -59,3 +60,23 @@ def test_rowdots_into_a_buffer_gives_the_bits_it_allocates(A, B):
     assert got.shape == want.shape == (A.shape[0],)
     assert buf.size == 0 or np.shares_memory(got, buf)  # empty arrays share no memory
     assert buf.tobytes() == got.tobytes() == want.tobytes() == one_by_one.tobytes()
+
+
+def _periodic_cases():
+    rng = np.random.default_rng(10)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1.5, -0.25])
+    for n, P, steps in [(1, 1, 7), (1, 3, 10), (2, 1, 5), (2, 3, 9), (3, 2, 11), (4, 3, 3), (5, 4, 13),
+                        (8, 3, 64), (3, 7, 7), (3, 5, 2), (2, 4, 0), (1, 2, 0), (3, 0, 0)]:
+        stack = rng.standard_normal((P, n, n)) * (rng.random((P, n, n)) < 0.7)
+        X = rng.choice(special, (steps, n))
+        yield stack, X
+        yield np.abs(stack), np.abs(rng.standard_normal((steps, n)))  # the magnitudes of a signed run
+
+
+@pytest.mark.parametrize("stack, X", list(_periodic_cases()))
+def test_cyclic_matvecs_gives_each_row_the_bits_of_its_product(stack, X):
+    P, n = stack.shape[:2]
+    want = np.array([product(n)(stack[k % P], x) for k, x in enumerate(X)]).reshape(-1, n)
+    buf = np.full(X.shape, np.nan)
+    assert cyclic_matvecs(stack, X, buf) is buf
+    assert buf.tobytes() == want.tobytes()
