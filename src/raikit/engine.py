@@ -19,11 +19,12 @@ run_rai fetches its weights once per run (one period of a periodic
 sequence), and every product is one of raikit.products.  A silent step,
 whose W(k) is exactly the identity, needs no product: the identity
 product is x + 0.0 bitwise, so ``_iterate`` walks a run_rai run in
-segments: loud steps one by one, each maximal stretch of silent steps as
-one sequential subtraction of its disturbances, copied into the states
-once.  A run's row extremes M and m are read along the steps axis, in
-bounded blocks, and a vanishing policy's decay factors come from one
-kept table, so the seeds of an ensemble compute them once.
+segments: loud steps one by one, each maximal stretch of silent steps (a
+pair of edges of the run's silence mask) as one sequential subtraction of
+its disturbances, copied into the states once.  A run's row extremes M
+and m are read along the steps axis, in bounded blocks, and a vanishing
+policy's decay factors come from one kept table, so the seeds of an
+ensemble compute them once.
 """
 
 from __future__ import annotations
@@ -369,25 +370,12 @@ def _iterate(
 def _silent_stretches(silent: list, steps: int) -> Iterator[tuple[int, int]]:
     """Each maximal stretch of silent steps k .. k+span-1 of a run of
     ``steps`` steps, as (k, span) in order, where step k is silent when
-    silent[k % p] and p = len(silent) <= steps.  A stretch may wrap past
-    the end of a period, and it covers the whole run when every step is
-    silent."""
-    if not any(silent):
-        return
-    if all(silent):
-        yield 0, steps
-        return
-    p = len(silent)
-    loud = [i for i in range(p) if not silent[i]]
-    if silent[0]:
-        yield 0, loud[0]
-    ends = loud[1:] + [loud[0] + p]  # the loud phase after each loud phase
-    starts = [(i + 1, e) for i, e in zip(loud, ends) if e > i + 1]
-    for base in range(0, steps, p):
-        for a, e in starts:
-            if base + a >= steps:
-                return
-            yield base + a, min(base + e, steps) - base - a
+    silent[k % p] and p = len(silent) <= steps: the rising and falling
+    edges of the run's silence mask, paired, built in full at the call (so
+    before the run allocates its states)."""
+    mask = np.resize(np.asarray(silent, dtype=bool), steps)
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False)).reshape(-1, 2)
+    return zip(edges[:, 0].tolist(), (edges[:, 1] - edges[:, 0]).tolist())
 
 
 def run_rai(

@@ -361,17 +361,9 @@ def is_aperiodic(g: WeightedDigraph, component: Iterable[int]) -> bool:
     if level.keys() != comp_set or back.keys() != comp_set:
         raise ValueError("component is not strongly connected")
 
-    if len(comp) == 1:
-        v = comp[0]
-        return bool(g.weights[v][v] != 0)  # period defined only via the self-loop
-
-    period = 0
-    for u in comp:
-        for v in g.out_neighbors(u):
-            v = int(v)
-            if v in comp_set:
-                period = math.gcd(period, abs(level[u] + 1 - level[v]))
-    return period == 1
+    depth = np.array([level[v] for v in comp])
+    heads, tails = np.nonzero(g.weights[np.ix_(comp, comp)])  # arcs tail -> head
+    return bool(np.gcd.reduce(np.abs(depth[tails] + 1 - depth[heads])) == 1)
 
 
 def reachable(

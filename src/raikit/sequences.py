@@ -153,13 +153,15 @@ class _WeightSequence(ArrayFields):
                 raise ValueError("generator violates its declared period at k=0")
 
     def block(self, k0: int, k1: int) -> np.ndarray:
-        """Steps k0, ..., k1-1 as one read-only (k1-k0, n, n) array, every
-        step read through ``matrix`` first: past the end of a finite list
-        that raises "has no term k=...", before a caller decides anything."""
+        """Steps k0, ..., k1-1 as one read-only (k1-k0, n, n) array,
+        allocated first (MemoryError at once if it cannot be held), then
+        filled through ``matrix``: past the end of a finite list that raises
+        "has no term k=...", before a caller decides anything."""
         if not 0 <= k0 <= k1:
             raise ValueError("block needs 0 <= k0 <= k1")
-        mats = [self._entries(self.matrix(k)) for k in range(k0, k1)]
-        out = np.array(mats).reshape(len(mats), self.n, self.n)
+        out = np.empty((k1 - k0, self.n, self.n))
+        if k1 > k0:  # an empty list does not broadcast to (0, n, n)
+            out[...] = [self._entries(self.matrix(k)) for k in range(k0, k1)]
         out.setflags(write=False)
         return out
 

@@ -437,8 +437,19 @@ def test_run_rai_over_silent_stretches_matches_per_step_loop(data):
     _assert_same(run_rai(seq, x0, policy, steps), _reference_run_rai(seq, x0, policy, steps))
 
 
+_RING_FIRES = [0, 1, 11, 111, 112, 122, 222, 223, 233, 333, 334, 344]
+
+
 @settings(max_examples=300, deadline=None)
 @given(silent=st.lists(st.booleans(), min_size=1, max_size=10), extra=st.integers(0, 50))
+# The directed-ring gossip of period 444 over 20 000 steps, whose loud
+# steps are its fire times; an aperiodic mask (p = steps); and runs of
+# 0 and 1 steps.
+@example(silent=[k not in _RING_FIRES for k in range(444)], extra=20_000 - 444)
+@example(silent=(np.random.default_rng(5).random(20_000) < 0.9).tolist(), extra=0)
+@example(silent=[], extra=0)
+@example(silent=[True], extra=0)
+@example(silent=[False], extra=0)
 def test_silent_stretches_are_the_maximal_runs_of_silent_steps(silent, extra):
     steps = len(silent) + extra
     want, k = [], 0

@@ -517,3 +517,30 @@ def test_run_too_large_to_allocate_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: validation: Unable to allocate ") and err.count("\n") == 1
     assert not (tmp_path / "huge.verdict.json").exists()
+
+
+def test_check_window_too_large_to_allocate_exit_two(tmp_path):
+    """A cut-balance window of 10^15 steps cannot be held: its block fails
+    to allocate before any step is read, so the process ends at once."""
+    sc = {
+        "schema_version": SCHEMA_VERSION,
+        "name": "huge_window",
+        "kind": "check_sequence",
+        "parameters": {
+            "sequence": {"kind": "constant", "matrix": [[0.5, 0.5], [0.5, 0.5]]},
+            "M": 1,
+            "T": 0,
+            "L": 10**15,
+        },
+    }
+    ref = _write(tmp_path, sc)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from raikit.cli import main; sys.exit(main())",
+         "--out-dir", str(tmp_path), "check", ref],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: validation: Unable to allocate ")
+    assert proc.stderr.count("\n") == 1
+    assert not (tmp_path / "huge_window.verdict.json").exists()

@@ -1,5 +1,6 @@
 """Structural graph predicates against brute-force oracles."""
 
+import math
 import warnings
 
 import numpy as np
@@ -337,6 +338,40 @@ def test_aperiodicity_matches_cycle_gcd_oracle():
             expected = bool(lengths) and np.gcd.reduce(sorted(lengths)) == 1
             assert is_aperiodic(g, comp) == expected
             checked += 1
+
+
+def _per_node_aperiodic(g, comp):
+    """The gcd of level(u) + 1 - level(v), taken arc by arc over each
+    node's out-neighbours, with a lone node read from its self-loop."""
+    comp = sorted(comp)
+    if len(comp) == 1:
+        return bool(g.weights[comp[0]][comp[0]] != 0)
+    comp_set = set(comp)
+    level = reachable(g, [comp[0]], comp_set)
+    period = 0
+    for u in comp:
+        for v in g.out_neighbors(u):
+            v = int(v)
+            if v in comp_set:
+                period = math.gcd(period, abs(level[u] + 1 - level[v]))
+    return period == 1
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_aperiodicity_matches_the_per_node_loop(data):
+    # Sparse signed patterns with self-loops, so that components whose
+    # cycles share a period above 1 are common; every component is
+    # checked, lone nodes included.
+    n = data.draw(st.integers(1, 8))
+    node = st.integers(0, n - 1)
+    arcs = data.draw(st.lists(st.tuples(node, node, st.sampled_from([-1.0, 0.5])), max_size=2 * n))
+    w = np.zeros((n, n))
+    for i, j, x in arcs:
+        w[i, j] = x
+    g = WeightedDigraph(n=n, weights=w)
+    for comp in strong_components(g).components:
+        assert is_aperiodic(g, comp) is _per_node_aperiodic(g, comp)
 
 
 def test_cut_flow_values():
